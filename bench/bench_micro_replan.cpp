@@ -5,16 +5,14 @@
 //   - util::IntervalSet insert/erase and earliest-fit under heavy
 //     fragmentation (the per-link primitive of Algorithm 3);
 //   - OccupancyMap::collides and path_union(_from) over a deep map;
-//   - the full per-arrival replan (EDF+SJF sort + plan_flows) at 1k/10k/50k
-//     admitted flows on the scaled fat-tree, with the fused allocator +
-//     candidate cache (optimized) A/B'd against the pre-optimization
-//     reference path (reference_allocator, no scratch, fresh map per replan);
-//   - the steady-state per-arrival cost through TapsScheduler itself, with
-//     the incremental journaled session A/B'd against the from-scratch full
-//     replan on the same warm instance (arrival/admitted=N/...);
+//   - the from-scratch per-arrival replan (EDF+SJF sort + plan_flows) at
+//     1k/10k/50k admitted flows on the scaled fat-tree, with the fused
+//     allocator + candidate cache (replan/admitted=N/optimized);
+//   - the steady-state per-arrival cost through TapsScheduler itself on a
+//     warm instance (arrival/admitted=N/incremental);
 //   - the end-to-end arrival cascade: N tasks admitted back-to-back through
-//     a fresh scheduler, where prefix reuse turns the total cost superlinear
-//     in its favour (cascade/arrivals=N/...);
+//     a fresh scheduler, where prefix reuse keeps the per-arrival tail short
+//     (cascade/arrivals=N/incremental);
 //   - the hierarchical-admission cascade: a reject-heavy hotspot workload
 //     A/B'd with the pod-local feasibility precheck on vs off
 //     (cascade_hier/arrivals=N/...) — decisions are bit-identical, the
@@ -22,8 +20,7 @@
 //   - exp::run_sweep thread scaling on a small scenario.
 //
 // `--quick` shrinks everything to CI-smoke scale. With `--json` the run
-// writes BENCH_micro_replan.json for scripts/bench_compare.py; the
-// `replan/admitted=N/speedup` metrics record optimized-vs-reference ratios.
+// writes BENCH_micro_replan.json for scripts/bench_compare.py.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -181,46 +178,24 @@ void bench_replan(BenchRunner& runner, bool quick, std::uint64_t seed) {
   for (const std::size_t n : scales) {
     const ReplanInstance inst(topo, n, seed + n);
     // One timed op == one Algorithm-1 replan: re-sort the admitted set and
-    // re-plan every flow through a fresh occupancy map.
-    const auto replan = [&](const taps::core::PlanConfig& config,
-                            taps::core::OccupancyMap& occ,
-                            taps::core::PlanScratch* scratch) {
+    // re-plan every flow through a reset occupancy map.
+    taps::core::OccupancyMap occ(link_count);
+    taps::core::PlanScratch scratch;
+    runner.run("replan/admitted=" + std::to_string(n) + "/optimized", [&] {
       occ.reset(link_count);
       std::vector<taps::net::FlowId> order = inst.order;
       taps::core::sort_edf_sjf(inst.net, order);
-      const auto plans =
-          taps::core::plan_flows(inst.net, occ, order, 0.0, config, scratch);
+      const auto plans = taps::core::plan_flows(inst.net, occ, order, 0.0,
+                                                taps::core::PlanConfig{}, &scratch);
       do_not_optimize(plans);
-    };
-
-    const std::string prefix = "replan/admitted=" + std::to_string(n) + "/";
-    taps::core::OccupancyMap occ(link_count);
-    taps::core::PlanScratch scratch;
-    const taps::core::PlanConfig optimized{};
-    const auto& opt =
-        runner.run(prefix + "optimized", [&] { replan(optimized, occ, &scratch); });
-    const double opt_median = opt.median;
-
-    // The pre-optimization path: reference TimeAllocation (full path-union
-    // materialization), no candidate cache, occupancy storage re-grown every
-    // replan. Skipped at 50k where it would dominate the bench's runtime.
-    if (n <= 10000) {
-      taps::core::PlanConfig reference{};
-      reference.reference_allocator = true;
-      const auto& ref = runner.run(prefix + "reference", [&] {
-        taps::core::OccupancyMap fresh(link_count);
-        replan(reference, fresh, nullptr);
-      });
-      runner.add_metric(prefix + "speedup", ref.median / opt_median);
-    }
+    });
   }
 }
 
 /// Register `tasks` single-flow tasks, all arriving at t=0 with near-sorted
 /// deadlines spread over [50 ms, 4 s]: deadline(i) = base + i*step + jitter
 /// where jitter < `jitter_steps`*step, so each arrival sorts into the last
-/// few EDF positions (small replanned tails under the incremental session,
-/// full re-plans under the oracle).
+/// few EDF positions (small replanned tails behind an adopted prefix).
 void fill_arrival_tasks(taps::net::Network& net, const taps::topo::Topology& topo,
                         std::size_t tasks, std::uint64_t seed, double jitter_steps) {
   const auto& hosts = topo.hosts();
@@ -253,19 +228,17 @@ double time_arrivals(taps::core::TapsScheduler& sched, std::size_t first,
 }
 
 /// Steady-state per-arrival cost through TapsScheduler: ONE warm instance
-/// holding N admitted flows; each sample times fresh spare-task arrivals with
-/// the incremental session toggled on/off via set_incremental_replan, so both
-/// modes pay their price against bit-identical committed state. Incremental
-/// samples batch several arrivals (the per-op time is total/batch) because a
-/// single reused-prefix arrival is too fast to time single-shot; the admitted
-/// count drifts by well under the batch total over the run, which is
-/// deterministic and identical across runs — the gate compares like with like.
+/// holding N admitted flows; each sample times a batch of fresh spare-task
+/// arrivals (the per-op time is total/batch) because a single reused-prefix
+/// arrival is too fast to time single-shot. The admitted count drifts by
+/// well under the batch total over the run, which is deterministic and
+/// identical across runs — the gate compares like with like.
 void bench_arrival(BenchRunner& runner, bool quick, std::uint64_t seed) {
   const taps::topo::FatTree topo(taps::topo::FatTreeConfig::scaled());
   const std::size_t n = quick ? 200 : 10000;
   const std::size_t repeats = runner.options().repeats;
-  const std::size_t batch = quick ? 25 : 4;  // incremental arrivals per sample
-  const std::size_t spares = (1 + repeats) + batch * (1 + repeats);
+  const std::size_t batch = quick ? 25 : 4;  // arrivals per sample
+  const std::size_t spares = batch * (1 + repeats);
 
   taps::net::Network net(topo);
   // jitter_steps = 0: strictly increasing deadlines, so warming the instance
@@ -279,88 +252,52 @@ void bench_arrival(BenchRunner& runner, bool quick, std::uint64_t seed) {
   }
 
   std::size_t next = n;
-  const auto measure = [&](bool incremental, std::size_t per_sample) {
-    sched.set_incremental_replan(incremental);
-    time_arrivals(sched, next, per_sample);  // warmup in this mode, untimed
-    next += per_sample;
-    std::vector<double> samples;
-    samples.reserve(repeats);
-    for (std::size_t r = 0; r < repeats; ++r) {
-      samples.push_back(time_arrivals(sched, next, per_sample) /
-                        static_cast<double>(per_sample));
-      next += per_sample;
-    }
-    return samples;
-  };
-
-  const std::string prefix = "arrival/admitted=" + std::to_string(n) + "/";
-  std::vector<double> full = measure(/*incremental=*/false, 1);
-  std::vector<double> inc = measure(/*incremental=*/true, batch);
-  const double full_median = runner.add_samples(prefix + "full", std::move(full)).median;
-  const double inc_median =
-      runner.add_samples(prefix + "incremental", std::move(inc), batch).median;
-  runner.add_metric(prefix + "speedup", full_median / inc_median);
+  time_arrivals(sched, next, batch);  // warmup, untimed
+  next += batch;
+  std::vector<double> samples;
+  samples.reserve(repeats);
+  for (std::size_t r = 0; r < repeats; ++r) {
+    samples.push_back(time_arrivals(sched, next, batch) / static_cast<double>(batch));
+    next += batch;
+  }
+  runner.add_samples("arrival/admitted=" + std::to_string(n) + "/incremental",
+                     std::move(samples), batch);
 }
 
 /// End-to-end arrival cascade: each op binds a fresh scheduler and feeds N
-/// near-sorted-deadline tasks through it back-to-back. The oracle pays a full
-/// replan per arrival (Θ(N²) planned flows); the session adopts the committed
-/// prefix and replans only the tail, so its advantage grows with N — the
-/// speedup metrics at matched scales record that superlinear separation. The
-/// full-replan runs are capped at 1000 arrivals (beyond that one op takes
-/// minutes); incremental extends to 50k where the oracle is untimeable.
+/// near-sorted-deadline tasks through it back-to-back. The session adopts
+/// the committed prefix and replans only the tail, so the cascade stays
+/// near-linear in N; reuse_ratio records the share of planning avoided.
 void bench_cascade(BenchRunner& runner, bool quick, std::uint64_t seed) {
   const taps::topo::FatTree topo(taps::topo::FatTreeConfig::scaled());
   const std::vector<std::size_t> scales =
       quick ? std::vector<std::size_t>{100}
             : std::vector<std::size_t>{200, 1000, 10000, 50000};
-  constexpr std::size_t kFullCap = 1000;       // largest oracle-timed scale
-  constexpr std::size_t kSlowSamples = 3;      // samples for multi-second ops
-
-  const auto cascade = [&](std::size_t n, bool incremental) {
-    taps::net::Network net(topo);
-    fill_arrival_tasks(net, topo, n, seed + n, /*jitter_steps=*/3.0);
-    taps::core::TapsConfig config;
-    config.incremental_replan = incremental;
-    taps::core::TapsScheduler sched(config);
-    sched.bind(net);
-    const double secs = time_arrivals(sched, 0, n);
-    return std::make_pair(secs, sched.counters());
-  };
+  constexpr std::size_t kSlowSamples = 3;  // samples for multi-second ops
 
   for (const std::size_t n : scales) {
     const std::string prefix = "cascade/arrivals=" + std::to_string(n) + "/";
     const bool slow = !quick && n >= 10000;
     const std::size_t reps = slow ? kSlowSamples : runner.options().repeats;
 
-    std::vector<double> inc;
-    inc.reserve(reps);
+    std::vector<double> samples;
+    samples.reserve(reps);
     taps::core::TapsCounters counters;
     for (std::size_t r = 0; r < reps; ++r) {
-      auto [secs, c] = cascade(n, /*incremental=*/true);
-      inc.push_back(secs);
-      counters = c;
+      taps::net::Network net(topo);
+      fill_arrival_tasks(net, topo, n, seed + n, /*jitter_steps=*/3.0);
+      taps::core::TapsScheduler sched;
+      sched.bind(net);
+      samples.push_back(time_arrivals(sched, 0, n));
+      counters = sched.counters();
     }
-    const double inc_median =
-        runner.add_samples(prefix + "incremental", std::move(inc)).median;
+    runner.add_samples(prefix + "incremental", std::move(samples));
     // Fraction of per-arrival planning avoided by prefix adoption (cross-
     // arrival reuse + checkpoint resume vs flows actually re-planned).
     const double reused = static_cast<double>(counters.cross_arrival_reuse_flows +
                                               counters.checkpoint_reuse_flows);
     const double planned = static_cast<double>(counters.flows_planned);
     runner.add_metric(prefix + "reuse_ratio", reused / std::max(1.0, reused + planned));
-
-    if (quick || n <= kFullCap) {
-      const std::size_t full_reps = (!quick && n >= kFullCap) ? kSlowSamples : reps;
-      std::vector<double> full;
-      full.reserve(full_reps);
-      for (std::size_t r = 0; r < full_reps; ++r) {
-        full.push_back(cascade(n, /*incremental=*/false).first);
-      }
-      const double full_median =
-          runner.add_samples(prefix + "full", std::move(full)).median;
-      runner.add_metric(prefix + "speedup", full_median / inc_median);
-    }
   }
 }
 
@@ -491,8 +428,8 @@ void bench_sweep_threads(BenchRunner& runner, bool quick) {
 int main(int argc, char** argv) {
   taps::util::Cli cli("bench_micro_replan",
                       "TAPS hot-path microbenchmarks: IntervalSet, OccupancyMap, "
-                      "per-arrival replan at 1k/10k/50k flows, incremental-session "
-                      "A/B + arrival cascades, hierarchical pod-precheck A/B, "
+                      "per-arrival replan at 1k/10k/50k flows, warm-scheduler "
+                      "arrivals + arrival cascades, hierarchical pod-precheck A/B, "
                       "sweep thread scaling");
   taps::bench::add_common_options(cli);
   cli.add_flag("quick", "tiny CI-smoke scale (fewer flows, smaller sets)");

@@ -24,7 +24,7 @@ namespace taps::core {
 /// order, restoring every touched IntervalSet bitwise. A checkpoint is just
 /// the journal's (records, arena) watermark, so taking one is O(1) and
 /// rolling back costs O(mutations since the checkpoint) — the mechanism
-/// behind TapsScheduler's incremental replanning (see DESIGN.md).
+/// behind TapsScheduler's admission sessions (see DESIGN.md).
 // taps-threading: single-domain -- owned by its OccupancyMap's domain
 struct OccupancyJournal {
   struct Record {
@@ -60,8 +60,8 @@ class OccupancyMap {
   void clear();
 
   /// Re-target the map to `link_count` links, all idle, KEEPING the per-link
-  /// interval storage capacity (the replan hot path rebuilds a trial map on
-  /// every arrival; recycling avoids re-growing every vector each time).
+  /// interval storage capacity (repeated from-scratch replans, as in the
+  /// replan microbenchmarks, avoid re-growing every vector each time).
   void reset(std::size_t link_count);
 
   [[nodiscard]] std::size_t link_count() const { return by_link_.size(); }

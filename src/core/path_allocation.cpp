@@ -66,17 +66,6 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     }
     const double duration = f.remaining / capacity;
     const double horizon = f.spec.deadline - config.guard_band;
-    if (config.reference_allocator) {
-      TimeAllocation alloc = allocate_time_reference(occupancy, p, now, duration, horizon);
-      if (alloc.feasible() && alloc.completion < best_completion) {
-        best_completion = alloc.completion;
-        plan.path = p;
-        plan.slices = std::move(alloc.slices);
-        plan.completion = alloc.completion;
-        plan.feasible = true;
-      }
-      continue;
-    }
     // Candidate pruning, cheapest test first: the completion on any path is
     // at least the max of its links' single-link completions (union idle is
     // a subset of each link's idle), so a candidate whose lower bound cannot
@@ -84,7 +73,7 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     // kLbSlack absorbs the bound's prefix-summation rounding: skips trigger
     // only past the slack, so they never cut a candidate the full evaluation
     // could still pick, and the chosen plan stays bit-identical to
-    // evaluating every candidate (the reference_allocator branch above).
+    // evaluating every candidate in full.
     constexpr double kLbSlack = 1e-6;
     double lower_bound = now;
     bool hopeless = false;
@@ -132,13 +121,8 @@ std::vector<FlowPlan> plan_flows(const net::Network& net, OccupancyMap& occupanc
 }
 
 void sort_edf_sjf(const net::Network& net, std::vector<FlowId>& flows) {
-  std::sort(flows.begin(), flows.end(), [&net](FlowId a, FlowId b) {
-    const Flow& fa = net.flow(a);
-    const Flow& fb = net.flow(b);
-    if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
-    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
-    return a < b;
-  });
+  std::sort(flows.begin(), flows.end(),
+            [&net](FlowId a, FlowId b) { return edf_sjf_before(net, a, b); });
 }
 
 }  // namespace taps::core

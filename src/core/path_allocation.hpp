@@ -28,11 +28,6 @@ struct PlanConfig {
   /// one store-and-forward pipeline after its slice ends, so exact-fit
   /// plans miss by microseconds unless the controller budgets for it.
   double guard_band = 0.0;
-  /// Use core::allocate_time_reference instead of the fused allocator.
-  /// Output is identical either way; bench_micro_replan flips this to
-  /// measure the optimization, and the equivalence property test cross-
-  /// checks both on random instances.
-  bool reference_allocator = false;
   /// Fault injection for the invariant oracle's negative tests: planning
   /// skips OccupancyMap::occupy for this flow, so later flows can be granted
   /// overlapping slices. Never set outside tests.
@@ -83,8 +78,18 @@ struct FlowPlan {
                                                const PlanConfig& config,
                                                PlanScratch* scratch = nullptr);
 
-/// Sort flow ids by the paper's scheduling discipline: EDF first (earlier
-/// deadline), SJF tie-break (smaller remaining size), then flow id.
+/// The paper's scheduling discipline as a strict total order on flow ids:
+/// EDF first (earlier deadline), SJF tie-break (smaller remaining size),
+/// then flow id.
+[[nodiscard]] inline bool edf_sjf_before(const net::Network& net, net::FlowId a, net::FlowId b) {
+  const net::Flow& fa = net.flow(a);
+  const net::Flow& fb = net.flow(b);
+  if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
+  if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
+  return a < b;
+}
+
+/// Sort flow ids by edf_sjf_before.
 void sort_edf_sjf(const net::Network& net, std::vector<net::FlowId>& flows);
 
 }  // namespace taps::core

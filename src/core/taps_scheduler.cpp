@@ -20,15 +20,8 @@ void TapsScheduler::bind(net::Network& net) {
   slices_.assign(net.flows().size(), util::IntervalSet{});
   committed_order_.clear();
   plan_scratch_.clear();
-  occ_pool_.clear();
   counters_ = TapsCounters{};
   journal_.clear();
-  session_order_.clear();
-  session_plans_.clear();
-  session_marks_.clear();
-  session_retired_.clear();
-  session_adopted_ = 0;
-  session_infeasible_ = 0;
   committed_remaining_.assign(net.flows().size(), 0.0);
   cross_arrival_valid_ = false;
   arrivals_since_trim_ = 0;
@@ -72,12 +65,6 @@ void TapsScheduler::migrate(net::Network& fresh, const std::vector<net::FlowId>&
   // flows were vacated at preemption), so the committed map still matches
   // the surviving plan on [now, inf) and occ_ carries over untouched.
   plan_scratch_.clear();
-  session_order_.clear();
-  session_plans_.clear();
-  session_marks_.clear();
-  session_retired_.clear();
-  session_adopted_ = 0;
-  session_infeasible_ = 0;
   // Flow ids changed wholesale: rebuild the event-driven rate state from the
   // surviving committed plan (rate_fallback_ deliberately carries over).
   rate_heap_ = RateHeap();
@@ -118,25 +105,9 @@ std::vector<FlowId> TapsScheduler::unfinished_admitted() const {
   return out;
 }
 
-OccupancyMap TapsScheduler::acquire_occupancy() {
-  if (!occ_pool_.empty()) {
-    OccupancyMap occ = std::move(occ_pool_.back());
-    occ_pool_.pop_back();
-    occ.reset(net_->graph().link_count());
-    return occ;
-  }
-  return OccupancyMap(net_->graph().link_count());
-}
-
 void TapsScheduler::sort_order(std::vector<FlowId>& order, std::size_t sorted_prefix) {
   const net::Network& net = *net_;
-  const auto cmp = [&net](FlowId a, FlowId b) {
-    const Flow& fa = net.flow(a);
-    const Flow& fb = net.flow(b);
-    if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
-    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
-    return a < b;
-  };
+  const auto cmp = [&net](FlowId a, FlowId b) { return edf_sjf_before(net, a, b); };
   assert(sorted_prefix <= order.size());
   const auto prefix_end = order.begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
   if (std::is_sorted(order.begin(), prefix_end, cmp)) {
@@ -148,73 +119,6 @@ void TapsScheduler::sort_order(std::vector<FlowId>& order, std::size_t sorted_pr
     std::sort(order.begin(), order.end(), cmp);
     ++counters_.full_sorts;
   }
-}
-
-PlanConfig TapsScheduler::make_plan_config() const {
-  return PlanConfig{.max_paths = config_.max_paths,
-                    .ecmp_routing = config_.ecmp_routing,
-                    .guard_band = config_.guard_band,
-                    .reference_allocator = config_.reference_allocator,
-                    .fault_skip_occupy = config_.fault_skip_occupy};
-}
-
-TapsScheduler::PlanAttempt TapsScheduler::try_plan(std::vector<FlowId> order, double now,
-                                                   std::size_t sorted_prefix) {
-  sort_order(order, sorted_prefix);
-  PlanAttempt attempt{.plans = {}, .occ = acquire_occupancy(), .fully_feasible = true};
-  attempt.plans = plan_flows(*net_, attempt.occ, order, now, make_plan_config(), &plan_scratch_);
-  counters_.flows_planned += order.size();
-  for (const auto& p : attempt.plans) {
-    if (!p.feasible) {
-      attempt.fully_feasible = false;
-      break;
-    }
-  }
-  return attempt;
-}
-
-void TapsScheduler::commit(PlanAttempt&& attempt, double now) {
-  assert(attempt.fully_feasible);
-  std::swap(occ_, attempt.occ);
-  release_occupancy(std::move(attempt.occ));  // the retired committed map
-  // Spent flows leave the plan here: drop their stale slices (the list was
-  // snapshotted at arrival start, exactly when commit_session evaluates it,
-  // so both modes clear the same sets on the same arrivals).
-  for (const FlowId fid : session_retired_) {
-    slices_[static_cast<std::size_t>(fid)].clear();
-    touch_slices(fid);
-  }
-  session_retired_.clear();
-  committed_order_.clear();
-  committed_order_.reserve(attempt.plans.size());
-  sched::ScheduleObserver* obs = schedule_observer();
-  std::vector<sched::CommittedFlowView> view;
-  if (obs != nullptr) view.reserve(attempt.plans.size());
-  pod_index_.begin_commit();
-  for (auto& plan : attempt.plans) {
-    Flow& f = net_->flow(plan.flow);
-    const auto i = static_cast<std::size_t>(plan.flow);
-    // A full replan recomputes every entry; entries it reproduced verbatim
-    // are not re-grants. The incremental path flags the identical set (its
-    // adopted prefix is exactly the entries a full replan reproduces).
-    const bool regranted = f.path.links != plan.path.links || slices_[i] != plan.slices;
-    if (regranted) {
-      ++counters_.slice_grants;
-      touch_slices(plan.flow);
-    }
-    f.path = std::move(plan.path);
-    slices_[i] = std::move(plan.slices);
-    committed_order_.push_back(plan.flow);
-    committed_remaining_[i] = f.remaining;
-    pod_index_.observe_commit_entry(*net_, f, slices_[i], counters_.budget_reservations);
-    if (obs != nullptr) {
-      view.push_back({plan.flow, f.task(), regranted, &f.path, &slices_[i]});
-    }
-  }
-  pod_index_.end_commit();
-  ++counters_.plan_commits;
-  cross_arrival_valid_ = true;
-  if (obs != nullptr) obs->on_plan_committed(now, view);
 }
 
 void TapsScheduler::admit(TaskId id, const std::vector<FlowId>& wave, double now) {
@@ -239,7 +143,7 @@ void TapsScheduler::maybe_trim(double now) {
   // Planning only ever reads occupancy at or after `now` and rate assignment
   // never looks backwards, so dropping the past changes nothing — it only
   // bounds memory on long arrival streams. Slices are trimmed together with
-  // the map so an incremental vacate-by-slices stays exact.
+  // the map so a session's vacate-by-slices stays exact.
   occ_.trim_before(now);
   for (auto& sl : slices_) sl.trim_before(now);
   pod_index_.on_trim(*net_, now);
@@ -275,8 +179,7 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
 
   // Snapshot the spent committed flows whose stale slices will be dropped if
   // this arrival commits. Taken before any planning/rejection mutates flow
-  // state so that the full-replan and incremental paths retire identical
-  // sets — part of keeping the two modes bitwise in step.
+  // state, so the retired set depends only on the state the arrival found.
   session_retired_.clear();
   for (const FlowId fid : committed_order_) {
     const Flow& f = net_->flow(fid);
@@ -287,8 +190,8 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
 
   // Hierarchical pod-local precheck: prove the newcomer infeasible without a
   // trial replan when possible. Sound only while the no-transmission gate
-  // holds and the cross-arrival validity tokens are fresh (same conditions
-  // either replan mode sees, so decisions stay mode- and flag-independent).
+  // holds and the cross-arrival validity tokens are fresh, so decisions stay
+  // flag-independent.
   if (config_.hierarchical_precheck && pod_index_.enabled() &&
       config_.fault_skip_occupy == net::kInvalidFlow && cross_arrival_valid_ &&
       pod_index_.armed(now)) {
@@ -305,130 +208,96 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
     }
   }
 
-  if (config_.incremental_replan && config_.fault_skip_occupy == net::kInvalidFlow &&
-      cross_arrival_valid_) {
-    on_task_arrival_incremental(id, now, wave);
-    return;
-  }
-
-  // Trial: all unfinished admitted flows plus the newcomers, globally
-  // re-planned from `now` (Algorithm 1's Ftmp = Ftrans U {arriving flows}).
-  // The incumbents come out of unfinished_admitted() in last-committed
-  // EDF+SJF order, so try_plan usually only has to sort the wave in.
+  // Algorithm 1's cascade as one journaled session over the live committed
+  // map. Trial: all unfinished admitted flows plus the newcomers, globally
+  // re-planned from `now` (Ftmp = Ftrans U {arriving flows}). The incumbents
+  // come out of unfinished_admitted() in last-committed EDF+SJF order, so
+  // usually only the wave has to be sorted in.
+  assert(journal_.empty());
   std::vector<FlowId> trial_order = unfinished_admitted();
   const std::size_t incumbent_count = trial_order.size();
   trial_order.insert(trial_order.end(), wave.begin(), wave.end());
-  PlanAttempt trial = try_plan(std::move(trial_order), now, incumbent_count);
+  sort_order(trial_order, incumbent_count);
+  open_session(trial_order, now);
+  plan_tail(trial_order, now);
   ++counters_.replans;
 
   const RejectOutcome outcome =
-      apply_reject_rule(*net_, id, trial.plans, config_.preempt_policy);
+      apply_reject_rule(*net_, id, session_plans_, config_.preempt_policy);
   switch (outcome.decision) {
     case Decision::kAccept:
       admit(id, wave, now);
-      commit(std::move(trial), now);
+      commit_session(now);
       return;
 
     case Decision::kPreemptVictim: {
       assert(outcome.victim != net::kInvalidTask);
       // Validate the post-preemption plan BEFORE discarding the victim: the
       // greedy multi-path allocator is not monotone, so removing the victim
-      // does not provably keep every survivor feasible.
-      const std::vector<FlowId> candidates = unfinished_admitted();
+      // does not provably keep every survivor feasible. Resume from the
+      // longest prefix of the trial plan that survives the removal.
       std::vector<FlowId> order;
-      order.reserve(candidates.size() + wave.size());
-      for (const FlowId fid : candidates) {
+      order.reserve(trial_order.size());
+      for (const FlowId fid : trial_order) {
         if (net_->flow(fid).task() != outcome.victim) order.push_back(fid);
       }
-      const std::size_t survivor_count = order.size();  // sorted subsequence
-      order.insert(order.end(), wave.begin(), wave.end());
-      PlanAttempt attempt = try_plan(std::move(order), now, survivor_count);
+      resume_session(order, now);
       ++counters_.replans;
-      if (attempt.fully_feasible) {
-        release_occupancy(std::move(trial.occ));
+      if (session_infeasible_ == 0) {
         net_->reject_task(outcome.victim);
         ++counters_.tasks_preempted;
         if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
           obs->on_task_preempted(outcome.victim, id, now);
         }
         admit(id, wave, now);
-        commit(std::move(attempt), now);
+        commit_session(now);
         return;
       }
       // Preemption would strand a survivor: fall through to rejecting the
       // newcomer instead (the safe choice; the incumbent plan still holds).
-      release_occupancy(std::move(attempt.occ));
       break;
     }
 
     case Decision::kRejectNew:
       break;
   }
-  release_occupancy(std::move(trial.occ));
 
-  // Reject the newcomer. Re-plan the incumbents opportunistically (EDF with
-  // updated remaining sizes usually compacts the schedule and helps future
-  // admissions), but only commit if every survivor stays feasible; otherwise
-  // the previously committed plan — which transmission has followed exactly,
-  // so its future part is still valid — remains in force.
-  net_->reject_task(id);
-  ++counters_.tasks_rejected;
-  if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
-    obs->on_task_rejected(id, now);
+  std::vector<FlowId> incumbents;
+  incumbents.reserve(trial_order.size());
+  for (const FlowId fid : trial_order) {
+    if (net_->flow(fid).task() != id) incumbents.push_back(fid);
   }
-  std::vector<FlowId> incumbents = unfinished_admitted();
-  const std::size_t incumbents_sorted = incumbents.size();
-  PlanAttempt compacted = try_plan(std::move(incumbents), now, incumbents_sorted);
-  ++counters_.replans;
-  if (compacted.fully_feasible) {
-    commit(std::move(compacted), now);
-  } else {
-    release_occupancy(std::move(compacted.occ));
-    ++counters_.replan_reverts;
-    util::log_debug() << "TAPS: compacting re-plan at t=" << now
-                      << " would strand a survivor; keeping the prior plan";
-  }
+  reject_and_compact(id, incumbents, now);
 }
 
 void TapsScheduler::fast_reject(TaskId id, double now) {
   ++counters_.pod_fast_rejects;
+  // Under the precheck's no-transmission gate every incumbent entry is
+  // adoption-eligible, so the compacting replan reproduces the committed
+  // plan verbatim (zero re-grants) — but it still commits, keeping
+  // plan_commits / validity tokens / timeline streams bit-identical to the
+  // precheck-off cascade. A later wave's task may own admitted flows: they
+  // leave with it.
+  std::vector<FlowId> incumbents = unfinished_admitted();
+  std::erase_if(incumbents, [&](FlowId fid) { return net_->flow(fid).task() == id; });
+  sort_order(incumbents, incumbents.size());
+  open_session(incumbents, now);
+  reject_and_compact(id, incumbents, now);
+}
+
+void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& incumbents,
+                                       double now) {
   net_->reject_task(id);
   ++counters_.tasks_rejected;
   if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
     obs->on_task_rejected(id, now);
   }
-  // Compacting replan of the incumbents, exactly as the normal reject tail
-  // runs it in the active mode. Under the precheck's no-transmission gate
-  // every incumbent entry is adoption-eligible, so the replan reproduces the
-  // committed plan verbatim (zero re-grants) — but it still commits, keeping
-  // plan_commits / validity tokens / timeline streams bit-identical to the
-  // precheck-off pipeline.
-  if (config_.incremental_replan && config_.fault_skip_occupy == net::kInvalidFlow &&
-      cross_arrival_valid_) {
-    std::vector<FlowId> incumbents = unfinished_admitted();
-    const std::size_t incumbents_sorted = incumbents.size();
-    sort_order(incumbents, incumbents_sorted);
-    open_session(incumbents, now);
-    plan_tail(incumbents, now);
-    ++counters_.replans;
-    if (session_infeasible_ == 0) {
-      commit_session(now);
-    } else {
-      abandon_session();
-      ++counters_.replan_reverts;
-      util::log_debug() << "TAPS: compacting re-plan at t=" << now
-                        << " would strand a survivor; keeping the prior plan";
-    }
-    return;
-  }
-  std::vector<FlowId> incumbents = unfinished_admitted();
-  const std::size_t incumbents_sorted = incumbents.size();
-  PlanAttempt compacted = try_plan(std::move(incumbents), now, incumbents_sorted);
+  resume_session(incumbents, now);
   ++counters_.replans;
-  if (compacted.fully_feasible) {
-    commit(std::move(compacted), now);
+  if (session_infeasible_ == 0) {
+    commit_session(now);
   } else {
-    release_occupancy(std::move(compacted.occ));
+    abandon_session();
     ++counters_.replan_reverts;
     util::log_debug() << "TAPS: compacting re-plan at t=" << now
                       << " would strand a survivor; keeping the prior plan";
@@ -443,11 +312,13 @@ void TapsScheduler::open_session(const std::vector<FlowId>& target, double now) 
   session_adopted_ = 0;
   session_infeasible_ = 0;
 
-  // Walk the last committed plan in order. The leading run of entries that a
-  // full replan would provably reproduce verbatim is adopted in place (their
-  // occupancy is already in occ_ — zero work); everything else is vacated so
-  // the tail replans against exactly the context the full replan would see.
-  bool chain = true;
+  // Walk the last committed plan in order. The leading run of entries a
+  // from-scratch replan would provably reproduce verbatim is adopted in
+  // place (their occupancy is already in occ_); everything else is vacated,
+  // so the tail replans against exactly the context a from-scratch replan
+  // sees. With adoption off (first arrival, after a missed-deadline
+  // invalidation, under fault injection) every entry is vacated.
+  bool chain = cross_arrival_valid_ && config_.fault_skip_occupy == net::kInvalidFlow;
   std::size_t pos = 0;  // next unmatched position of `target`
   for (const FlowId fid : committed_order_) {
     const Flow& f = net_->flow(fid);
@@ -457,19 +328,19 @@ void TapsScheduler::open_session(const std::vector<FlowId>& target, double now) 
     if (!unfinished) {
       if (sl.empty()) continue;
       // The flow left the order, so its occupancy must go. If any of it lies
-      // in the future, a full replan would not have reproduced the prefix
-      // planned around it — the reusable run ends here.
+      // in the future, a from-scratch replan would not have reproduced the
+      // prefix planned around it — the reusable run ends here.
       if (sl.back_end() > now) chain = false;
-      occ_.vacate(f.path, sl, journal_);
+      vacate(f, sl);
       continue;
     }
     if (chain && pos < target.size() && target[pos] == fid && !sl.empty() &&
         sl.front_start() >= now && f.remaining == committed_remaining_[i]) {
       // Reusable: same flow at the same position, remaining bitwise
       // untouched since the commit (no transmission — its slices start at or
-      // after `now`), and every earlier position matched too. A full replan
-      // recomputes exactly the committed path and slices here (DESIGN.md,
-      // "Incremental replanning"), so adopt them without replanning. The
+      // after `now`), and every earlier position matched too. A from-scratch
+      // replan recomputes exactly the committed path and slices here
+      // (DESIGN.md, "Admission pipeline"), so adopt them without replanning. The
       // plan entry carries just what apply_reject_rule reads.
       session_marks_.push_back(OccupancyMap::checkpoint(journal_));
       session_order_.push_back(fid);
@@ -482,14 +353,21 @@ void TapsScheduler::open_session(const std::vector<FlowId>& target, double now) 
       continue;
     }
     chain = false;
-    occ_.vacate(f.path, sl, journal_);
+    vacate(f, sl);
   }
   session_adopted_ = session_order_.size();
   counters_.cross_arrival_reuse_flows += session_adopted_;
 }
 
+void TapsScheduler::vacate(const Flow& f, const util::IntervalSet& slices) {
+  if (f.id() != config_.fault_skip_occupy) occ_.vacate(f.path, slices, journal_);
+}
+
 void TapsScheduler::plan_tail(const std::vector<FlowId>& target, double now) {
-  const PlanConfig plan_config = make_plan_config();
+  const PlanConfig plan_config{.max_paths = config_.max_paths,
+                               .ecmp_routing = config_.ecmp_routing,
+                               .guard_band = config_.guard_band,
+                               .fault_skip_occupy = config_.fault_skip_occupy};
   for (std::size_t k = session_order_.size(); k < target.size(); ++k) {
     const FlowId fid = target[k];
     session_marks_.push_back(OccupancyMap::checkpoint(journal_));
@@ -554,9 +432,9 @@ void TapsScheduler::commit_session(double now) {
     bool regranted = false;
     if (k >= session_adopted_) {
       FlowPlan& plan = session_plans_[k];
-      // Adopted entries are, by construction, exactly what a full replan
-      // would have reproduced verbatim — so comparing only the replanned
-      // tail flags the same re-grant set as the full-replan commit().
+      // Adopted entries are, by construction, exactly what a from-scratch
+      // replan would have reproduced verbatim — so comparing only the
+      // replanned tail flags the same re-grant set as comparing every entry.
       regranted = f.path.links != plan.path.links || slices_[i] != plan.slices;
       if (regranted) {
         ++counters_.slice_grants;
@@ -584,83 +462,6 @@ void TapsScheduler::abandon_session() {
   journal_.clear();
 }
 
-void TapsScheduler::on_task_arrival_incremental(TaskId id, double now,
-                                                const std::vector<FlowId>& wave) {
-  // Mirrors on_task_arrival's decision cascade exactly, but runs it as one
-  // journaled session over the live committed map instead of three
-  // from-scratch trial maps. Every committed decision and committed byte of
-  // state is bitwise identical to the full-replan path (pinned by
-  // tests/core/taps_incremental_prop_test.cpp).
-  assert(journal_.empty());
-  std::vector<FlowId> trial_order = unfinished_admitted();
-  const std::size_t incumbent_count = trial_order.size();
-  trial_order.insert(trial_order.end(), wave.begin(), wave.end());
-  sort_order(trial_order, incumbent_count);
-  open_session(trial_order, now);
-  plan_tail(trial_order, now);
-  ++counters_.replans;
-
-  const RejectOutcome outcome =
-      apply_reject_rule(*net_, id, session_plans_, config_.preempt_policy);
-  switch (outcome.decision) {
-    case Decision::kAccept:
-      admit(id, wave, now);
-      commit_session(now);
-      return;
-
-    case Decision::kPreemptVictim: {
-      assert(outcome.victim != net::kInvalidTask);
-      // Validation replan without the victim's flows: resume from the
-      // longest prefix of the trial plan that survives the removal.
-      std::vector<FlowId> order;
-      order.reserve(trial_order.size());
-      for (const FlowId fid : trial_order) {
-        if (net_->flow(fid).task() != outcome.victim) order.push_back(fid);
-      }
-      resume_session(order, now);
-      ++counters_.replans;
-      if (session_infeasible_ == 0) {
-        net_->reject_task(outcome.victim);
-        ++counters_.tasks_preempted;
-        if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
-          obs->on_task_preempted(outcome.victim, id, now);
-        }
-        admit(id, wave, now);
-        commit_session(now);
-        return;
-      }
-      break;
-    }
-
-    case Decision::kRejectNew:
-      break;
-  }
-
-  // Reject the newcomer; compact the incumbents (see the full-replan path
-  // for the rationale), resuming from whatever trial/validation prefix
-  // survives dropping the newcomer's flows.
-  net_->reject_task(id);
-  ++counters_.tasks_rejected;
-  if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
-    obs->on_task_rejected(id, now);
-  }
-  std::vector<FlowId> incumbents;
-  incumbents.reserve(trial_order.size());
-  for (const FlowId fid : trial_order) {
-    if (net_->flow(fid).task() != id) incumbents.push_back(fid);
-  }
-  resume_session(incumbents, now);
-  ++counters_.replans;
-  if (session_infeasible_ == 0) {
-    commit_session(now);
-  } else {
-    abandon_session();
-    ++counters_.replan_reverts;
-    util::log_debug() << "TAPS: compacting re-plan at t=" << now
-                      << " would strand a survivor; keeping the prior plan";
-  }
-}
-
 void TapsScheduler::on_flow_finished(FlowId id, double now) {
   BaseScheduler::on_flow_finished(id, now);
   const Flow& f = net_->flow(id);
@@ -675,8 +476,16 @@ void TapsScheduler::on_flow_finished(FlowId id, double now) {
     util::log_warn() << "TAPS: admitted flow " << id << " missed its deadline at t=" << now
                      << " (a bug under the fluid engine; expected occasionally under"
                         " packet-quantized execution)";
-    const net::Task& t = net_->task(f.task());
-    for (const FlowId sibling : t.spec.flows) {
+    // The siblings' committed occupancy goes before their slices do, so
+    // occ_ stays the union of committed slices. Only committed entries own
+    // occupancy: a spent flow that left the plan was vacated already.
+    assert(journal_.empty());
+    for (const FlowId fid : committed_order_) {
+      const Flow& s = net_->flow(fid);
+      if (s.task() == f.task() && !s.finished()) vacate(s, slices_[static_cast<std::size_t>(fid)]);
+    }
+    journal_.clear();
+    for (const FlowId sibling : net_->task(f.task()).spec.flows) {
       Flow& s = net_->flow(sibling);
       if (!s.finished()) {
         s.state = FlowState::kRejected;
@@ -684,10 +493,10 @@ void TapsScheduler::on_flow_finished(FlowId id, double now) {
         slices_[static_cast<std::size_t>(sibling)].clear();
       }
     }
-    // The siblings' committed occupancy is now orphaned from their cleared
-    // slices, so it can no longer be vacated incrementally: route the next
-    // arrival through the full replan (whose commit swaps in a fresh map and
-    // re-establishes validity).
+    // Cleared slices hide from the next session's walk that the siblings
+    // once held future occupancy, so the prefix planned around them is not
+    // provably reusable: open the next session with adoption off (its
+    // commit re-establishes validity).
     cross_arrival_valid_ = false;
   }
 }

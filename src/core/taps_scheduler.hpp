@@ -7,6 +7,10 @@
 // pre-allocated transmission time slices; each link carries at most one flow
 // at any instant and flows transmit at full link rate inside their slices.
 //
+// Each arrival runs Algorithm 1's cascade once, as a journaled session over
+// the live committed occupancy (see "admission sessions" below). The
+// from-scratch replan it is pinned against is oracle::FullReplanTaps.
+//
 // In this simulation model all flows of a task arrive together (as in the
 // paper's evaluation), which corresponds to Algorithm 1's gather window T
 // collapsing to the task batch.
@@ -35,21 +39,10 @@ struct TapsConfig {
   /// PlanConfig::guard_band). Keep 0 for the paper's fluid evaluation; set
   /// to ~a few packet times x path length on packet networks.
   double guard_band = 0.0;
-  /// A/B switch for bench_micro_replan: plan with the reference TimeAllocation
-  /// instead of the fused one (see PlanConfig::reference_allocator).
-  bool reference_allocator = false;
   /// Test-only seeded mutation (see PlanConfig::fault_skip_occupy): the
   /// invariant oracle's negative test proves it catches the resulting
   /// exclusivity breach. Never set outside tests.
   net::FlowId fault_skip_occupy = net::kInvalidFlow;
-  /// Incremental replanning: keep the committed occupancy live under an undo
-  /// journal, reuse the committed plan's still-valid leading prefix across
-  /// arrivals, and resume the preemption-validation / compacting replans
-  /// from checkpoints of the trial plan instead of replanning from flow 0.
-  /// Schedules are bit-identical either way (pinned by
-  /// tests/core/taps_incremental_prop_test.cpp); `false` keeps the original
-  /// full-replan path as the oracle.
-  bool incremental_replan = true;
   /// Trim committed occupancy and per-flow slices below `now` every this
   /// many task arrivals (0 disables). Bounds memory on long runs; planning
   /// only reads occupancy at or after `now`, so trimming never changes a
@@ -93,27 +86,26 @@ struct TapsCounters {
   std::size_t incremental_sorts = 0;
   std::size_t full_sorts = 0;
   /// Flow positions actually planned by running Algorithms 2/3
-  /// (plan_one_flow calls), in either mode. The planner-effort denominator
-  /// for the two reuse counters below.
+  /// (plan_one_flow calls). The planner-effort denominator for the two
+  /// reuse counters below.
   std::size_t flows_planned = 0;
   /// Flow positions satisfied by adopting the committed plan's still-valid
   /// leading prefix at session open instead of replanning them
-  /// (cross-arrival prefix reuse; incremental mode only).
+  /// (cross-arrival prefix reuse).
   std::size_t cross_arrival_reuse_flows = 0;
-  /// Flow positions kept from an earlier try_plan of the same arrival when
-  /// the preemption-validation or compacting replan resumed from a prefix
-  /// checkpoint (within-arrival reuse; incremental mode only).
+  /// Flow positions kept from an earlier plan of the same arrival when the
+  /// preemption-validation or compacting replan resumed from a prefix
+  /// checkpoint (within-arrival reuse).
   std::size_t checkpoint_reuse_flows = 0;
-  /// Incremental sessions abandoned mid-arrival because a later replan of
-  /// the same arrival diverged inside the adopted prefix (e.g. the
-  /// preemption victim owned one of the adopted flows), forcing a rollback
-  /// to the committed state and a fresh session open.
+  /// Sessions abandoned mid-arrival because a later replan of the same
+  /// arrival diverged inside the adopted prefix (e.g. the preemption victim
+  /// owned one of the adopted flows), forcing a rollback to the committed
+  /// state and a fresh session open.
   std::size_t session_restarts = 0;
   /// Periodic occupancy/slice trims (TapsConfig::trim_interval).
   std::size_t occupancy_trims = 0;
   /// Plans committed (arrivals that changed the schedule: admissions plus
-  /// successful compacting replans). Mode-independent: both replan paths
-  /// commit at the same decision points.
+  /// successful compacting replans).
   std::size_t plan_commits = 0;
   /// Per-flow (re)grants: committed entries whose path or slices changed
   /// relative to the previous commit. Exactly the grant events a
@@ -153,11 +145,6 @@ class TapsScheduler : public sched::BaseScheduler {
   [[nodiscard]] const OccupancyMap& occupancy() const { return occ_; }
   [[nodiscard]] const TapsCounters& counters() const { return counters_; }
 
-  /// Bench/test hook: flip incremental replanning on a live scheduler. The
-  /// committed state is mode-independent (schedules are bit-identical), so
-  /// A/B measurements can warm up one instance and time both modes on it.
-  void set_incremental_replan(bool on) { config_.incremental_replan = on; }
-
   /// Bench/test hook: flip the hierarchical precheck on a live scheduler.
   /// The pod index is maintained regardless of the flag (commit-time upkeep
   /// is O(newly committed flows)), so toggling mid-run behaves exactly like
@@ -186,32 +173,18 @@ class TapsScheduler : public sched::BaseScheduler {
   void migrate(net::Network& fresh, const std::vector<net::FlowId>& flow_map);
 
  private:
-  /// A candidate plan: committed only when every flow in it is feasible, so
-  /// an admitted task can never be stranded by a re-plan (the previously
-  /// committed plan stays valid otherwise — transmission followed it
-  /// exactly, so its future portion still fits every deadline).
-  struct PlanAttempt {
-    std::vector<FlowPlan> plans;
-    OccupancyMap occ;
-    bool fully_feasible = true;
-  };
-
-  /// Plan `order`'s flows from scratch at `now`. The first `sorted_prefix`
-  /// entries are known to be in committed EDF+SJF order (modulo remaining-
-  /// size drift on deadline ties, which is re-checked): when the check
-  /// holds, only the tail is sorted and merged in instead of re-sorting the
-  /// whole admitted set. The comparator is a strict total order, so either
-  /// route yields the identical unique ordering.
-  [[nodiscard]] PlanAttempt try_plan(std::vector<net::FlowId> order, double now,
-                                     std::size_t sorted_prefix);
-  void commit(PlanAttempt&& attempt, double now);
   void admit(net::TaskId id, const std::vector<net::FlowId>& wave, double now);
 
-  /// Hierarchical fast-reject: reject `id` without a trial replan (its
-  /// infeasibility was proven pod-locally), then run the same compacting
-  /// replan of the incumbents the normal reject tail runs, in the active
-  /// mode — committed state stays bit-identical to the full pipeline.
+  /// Hierarchical fast-reject: skip the trial replan (the newcomer was
+  /// proven infeasible pod-locally) and run the cascade's reject tail.
   void fast_reject(net::TaskId id, double now);
+
+  /// The cascade's reject tail: reject `id`, re-aim the open session at
+  /// `incumbents` and commit the compacted plan if every survivor stays
+  /// feasible; otherwise keep the prior plan, whose future part still fits
+  /// every deadline because transmission followed it exactly.
+  void reject_and_compact(net::TaskId id, const std::vector<net::FlowId>& incumbents,
+                          double now);
 
   /// Sort `order` EDF+SJF. The first `sorted_prefix` entries are known to be
   /// in committed order (modulo remaining-size drift on deadline ties, which
@@ -220,32 +193,30 @@ class TapsScheduler : public sched::BaseScheduler {
   /// yields the identical unique ordering.
   void sort_order(std::vector<net::FlowId>& order, std::size_t sorted_prefix);
 
-  [[nodiscard]] PlanConfig make_plan_config() const;
-
-  // ---- incremental replanning (config_.incremental_replan) ----
+  // ---- admission sessions ----
   //
-  // Instead of rebuilding a trial OccupancyMap from scratch per try_plan,
-  // one arrival runs as a *session* that mutates the committed map occ_ in
+  // One arrival runs as a *session* that mutates the committed map occ_ in
   // place under journal_: the committed plan's still-valid leading prefix is
   // adopted untouched (zero cost), everything after it is vacated, and the
   // tail is replanned with every mutation logged. Later replans of the same
   // arrival (preemption validation, compacting) roll back to the checkpoint
   // of the longest shared prefix and replan only from there. Reverting the
   // whole arrival is a rollback to the session start. See DESIGN.md
-  // ("Incremental replanning") for the argument that schedules stay
-  // bit-identical to the full-replan oracle.
-  void on_task_arrival_incremental(net::TaskId id, double now,
-                                   const std::vector<net::FlowId>& wave);
+  // ("Admission pipeline") for why schedules stay bit-identical to the
+  // from-scratch replan.
   /// Start a session against `target` (requires an empty journal): walk the
   /// committed order, vacating spent/broken entries and adopting the leading
-  /// prefix that provably matches what a full replan would produce, then
-  /// plan the remaining tail.
+  /// prefix a from-scratch replan provably reproduces. Adoption is off
+  /// while cross_arrival_valid_ is false or a fault flow is configured.
   void open_session(const std::vector<net::FlowId>& target, double now);
   /// Re-aim the current session at a new target order: roll back to the
   /// checkpoint of the longest shared prefix (or restart the session when
   /// the divergence lies inside the adopted prefix) and replan the tail.
   void resume_session(const std::vector<net::FlowId>& target, double now);
   void plan_tail(const std::vector<net::FlowId>& target, double now);
+  /// Remove a committed flow's slices from occ_ (logged). The fault flow
+  /// never occupied anything, so it is never vacated either.
+  void vacate(const net::Flow& f, const util::IntervalSet& slices);
   /// Install the session as the committed plan: move planned paths/slices
   /// into the network, refresh the cross-arrival validity tokens, drop the
   /// journal (occ_ already holds the planned occupancy).
@@ -253,7 +224,7 @@ class TapsScheduler : public sched::BaseScheduler {
   /// Roll occ_ back to the session start, restoring the committed state
   /// bitwise.
   void abandon_session();
-  /// Deterministic trim cadence (identical in both modes).
+  /// Deterministic trim cadence.
   void maybe_trim(double now);
 
   // ---- event-driven rate maintenance (config_.event_driven_rates) ----
@@ -277,13 +248,8 @@ class TapsScheduler : public sched::BaseScheduler {
   double assign_rates_reference(double now);
 
   /// Unfinished flows of all currently admitted tasks, in last-committed
-  /// EDF+SJF order (the usually-still-sorted prefix try_plan exploits).
+  /// EDF+SJF order (the usually-still-sorted prefix sort_order exploits).
   [[nodiscard]] std::vector<net::FlowId> unfinished_admitted() const;
-
-  /// Trial-occupancy recycling: maps retired by commit() or from discarded
-  /// attempts keep their per-link storage for the next replan.
-  [[nodiscard]] OccupancyMap acquire_occupancy();
-  void release_occupancy(OccupancyMap&& occ) { occ_pool_.push_back(std::move(occ)); }
 
   TapsConfig config_;
   OccupancyMap occ_{0};
@@ -291,13 +257,13 @@ class TapsScheduler : public sched::BaseScheduler {
   std::vector<char> makeup_busy_;          // per-link claims within one assign_rates
   std::vector<net::FlowId> committed_order_;  // EDF+SJF order of the last commit
   PlanScratch plan_scratch_;               // per-flow candidate-path cache
-  std::vector<OccupancyMap> occ_pool_;     // retired trial maps, capacity kept
   TapsCounters counters_;
   PodAdmissionIndex pod_index_;            // hierarchical-admission registries
 
-  // Incremental-session state (meaningful only within one arrival, except
-  // committed_remaining_ / cross_arrival_valid_ which persist across
-  // arrivals as the reuse-validity tokens).
+  // Session state (meaningful only within one arrival, reset by the
+  // arrival and open_session, except committed_remaining_ /
+  // cross_arrival_valid_ which persist across arrivals as the reuse-validity
+  // tokens).
   OccupancyJournal journal_;
   std::vector<net::FlowId> session_order_;     // plan order built so far
   std::vector<FlowPlan> session_plans_;        // adopted entries hold light plans
@@ -311,7 +277,8 @@ class TapsScheduler : public sched::BaseScheduler {
   std::vector<double> committed_remaining_;
   /// False until the first commit and after any event that edits scheduler
   /// state outside a commit (missed-deadline sibling invalidation): the next
-  /// arrival then takes the full-replan path, which re-establishes validity.
+  /// session then opens with adoption off, and its commit re-establishes
+  /// validity.
   bool cross_arrival_valid_ = false;
   std::size_t arrivals_since_trim_ = 0;
 

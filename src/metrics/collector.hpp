@@ -39,9 +39,8 @@ struct RunMetrics {
   double prefix_reuse_ratio = 0.0;    // reused / (reused + planned)
 
   // Decision/timeline counters, also copied from TapsCounters by the
-  // experiment driver. Observer- and mode-independent: the values are
-  // identical with or without a sim::TimelineRecorder attached and under
-  // full or incremental replanning (docs/TIMELINE.md).
+  // experiment driver. Observer-independent: the values are identical with
+  // or without a sim::TimelineRecorder attached (docs/TIMELINE.md).
   std::size_t plan_commits = 0;  // arrivals that changed the committed schedule
   std::size_t preemptions = 0;   // admitted tasks revoked to admit a newcomer
   std::size_t slice_grants = 0;  // per-flow (re)grants across all commits

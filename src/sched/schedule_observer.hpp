@@ -31,8 +31,8 @@ struct CommittedFlowView {
   net::TaskId task = net::kInvalidTask;
   /// True when this commit changed the flow's route or slices relative to
   /// the previous commit (a fresh grant / re-grant); false when the entry
-  /// was carried over verbatim. Mode-independent: the incremental and
-  /// full-replan paths flag the same entries on the same arrivals
+  /// was carried over verbatim. An adopted prefix entry is never a
+  /// re-grant, exactly as when every entry is replanned from scratch
   /// (TapsCounters::slice_grants counts exactly these).
   bool regranted = false;
   const topo::Path* path = nullptr;

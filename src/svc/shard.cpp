@@ -201,8 +201,8 @@ std::string Shard::fingerprint() const {
      << " " << completed_ << "\n";
   // Planner-effort counters (TapsCounters) are deliberately absent: they
   // measure work done, not state reached, and legitimately differ between
-  // the incremental service and the full-replan oracle while the committed
-  // schedule below stays bit-identical.
+  // a batched, compacting service and a sequential non-compacting oracle
+  // while the committed schedule below stays bit-identical.
   for (const Task& t : net_->tasks()) {
     os << "task " << task_seq_[static_cast<std::size_t>(t.id())] << " "
        << static_cast<int>(t.state) << " " << t.completed_flows << "\n";

@@ -3,8 +3,8 @@
 //
 // The replan optimization added three query shortcuts (per-link earliest-free
 // hints, path_union_from, the fused allocate_time) while keeping the plain
-// scans (path_union + IntervalSet search, allocate_time_reference) in-tree as
-// references. These properties pin the equivalence on random instances —
+// scans (path_union + IntervalSet search, oracle::allocate_time_reference)
+// in-tree as references. These properties pin the equivalence on random instances —
 // including interleaved mutations, which are exactly what invalidates hints.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "common/prop.hpp"
 #include "core/occupancy.hpp"
 #include "core/time_allocation.hpp"
+#include "oracle/full_replan.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 
@@ -152,7 +153,7 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
         const double duration = op.b - op.a;
         const double horizon = op.a + duration * horizon_spread(op);
         const TimeAllocation fast = allocate_time(occ, p, op.a, duration, horizon);
-        const TimeAllocation ref = allocate_time_reference(occ, p, op.a, duration, horizon);
+        const TimeAllocation ref = oracle::allocate_time_reference(occ, p, op.a, duration, horizon);
         if (fast.feasible() != ref.feasible() || !(fast.slices == ref.slices) ||
             fast.completion != ref.completion) {
           std::ostringstream os;
@@ -198,7 +199,7 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
         one.links.push_back(static_cast<topo::LinkId>(op.link));
         const double lb1 = occ.single_link_completion(
             static_cast<topo::LinkId>(op.link), op.a, duration);
-        const TimeAllocation ref1 = allocate_time_reference(occ, one, op.a, duration, 1e12);
+        const TimeAllocation ref1 = oracle::allocate_time_reference(occ, one, op.a, duration, 1e12);
         if (!ref1.feasible() || lb1 < ref1.completion - 1e-9 || lb1 > ref1.completion + 1e-9) {
           std::ostringstream os;
           os << "single_link_completion(link=" << op.link << ", from=" << op.a

@@ -90,7 +90,7 @@ struct ScenarioRun {
   std::unique_ptr<TapsScheduler> sched;
 };
 
-ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool precheck, bool incremental) {
+ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool precheck) {
   ScenarioRun r;
   r.topo = std::make_unique<topo::FatTree>(topo::FatTreeConfig{4, 1.0});
   r.net = std::make_unique<net::Network>(*r.topo);
@@ -104,7 +104,6 @@ ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool precheck, bool 
   }
   TapsConfig cfg;
   cfg.hierarchical_precheck = precheck;
-  cfg.incremental_replan = incremental;
   cfg.trim_interval = 4;  // exercise registry compaction under the comparison
   r.sched = std::make_unique<TapsScheduler>(cfg);
   (void)test::run(*r.net, *r.sched);
@@ -180,16 +179,8 @@ std::optional<std::string> compare_runs(const ScenarioRun& on, const ScenarioRun
 
 TAPS_PROP(TapsHierarchyProp, PrecheckBitIdenticalIncremental, 150) {
   prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) {
-    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true, /*incremental=*/true);
-    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false, /*incremental=*/true);
-    return compare_runs(on, off);
-  });
-}
-
-TAPS_PROP(TapsHierarchyProp, PrecheckBitIdenticalFullReplan, 60) {
-  prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) {
-    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true, /*incremental=*/false);
-    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false, /*incremental=*/false);
+    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true);
+    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false);
     return compare_runs(on, off);
   });
 }
@@ -204,8 +195,8 @@ TEST(TapsHierarchyProp, FastRejectsActuallyHappenInAggregate) {
   std::size_t planned_off = 0;
   for (int i = 0; i < 25; ++i) {
     const std::vector<TaskGen> tasks = gen_scenario(rng);
-    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true, /*incremental=*/true);
-    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false, /*incremental=*/true);
+    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true);
+    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false);
     fast += on.sched->counters().pod_fast_rejects;
     planned_on += on.sched->counters().flows_planned;
     planned_off += off.sched->counters().flows_planned;

@@ -1,8 +1,9 @@
-// Bit-identity pin for incremental replanning: the journaled in-place
-// session (TapsConfig::incremental_replan = true) must produce schedules
-// BITWISE identical to the from-scratch full replan (= false, the oracle) on
-// random scenarios — same admission/rejection/preemption decisions, same
-// committed paths and slices, same per-link occupancy, same flow outcomes.
+// Bit-identity pin for TapsScheduler's admission sessions: the journaled
+// in-place session (prefix adoption, checkpoint resume, vacate-by-slices)
+// must produce schedules BITWISE identical to oracle::FullReplanTaps, which
+// replans every arrival from scratch on fresh maps, on random scenarios —
+// same admission/rejection/preemption decisions, same committed paths and
+// slices, same per-link occupancy, same flow outcomes.
 //
 // The scenarios deliberately mix same-instant arrival cascades (maximum
 // cross-arrival prefix reuse) with spread arrivals (transmission between
@@ -21,6 +22,7 @@
 #include "common/fixtures.hpp"
 #include "common/prop.hpp"
 #include "core/taps_scheduler.hpp"
+#include "oracle/full_replan.hpp"
 
 namespace taps::core {
 namespace {
@@ -73,14 +75,17 @@ std::vector<TaskGen> gen_scenario(util::Rng& rng) {
   return tasks;
 }
 
+template <typename Sched>
 struct ScenarioRun {
   std::unique_ptr<test::Dumbbell> d;
   std::unique_ptr<net::Network> net;
-  std::unique_ptr<TapsScheduler> sched;
+  std::unique_ptr<Sched> sched;
 };
 
-ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool incremental) {
-  ScenarioRun r;
+template <typename Sched>
+ScenarioRun<Sched> run_scenario(const std::vector<TaskGen>& tasks,
+                                PreemptPolicy policy = PreemptPolicy::kProgress) {
+  ScenarioRun<Sched> r;
   r.d = std::make_unique<test::Dumbbell>(test::make_dumbbell(kSide));
   r.net = std::make_unique<net::Network>(*r.d->topology);
   for (const TaskGen& t : tasks) {
@@ -91,21 +96,24 @@ ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool incremental) {
     test::add_task(*r.net, t.arrival, t.arrival + t.slack, std::move(flows));
   }
   TapsConfig cfg;
-  cfg.incremental_replan = incremental;
+  cfg.preempt_policy = policy;
   cfg.trim_interval = 4;  // exercise the trim cadence under the comparison
-  r.sched = std::make_unique<TapsScheduler>(cfg);
+  r.sched = std::make_unique<Sched>(cfg);
   (void)test::run(*r.net, *r.sched);
   return r;
 }
 
-std::optional<std::string> compare_runs(const ScenarioRun& inc, const ScenarioRun& full) {
+using SessionRun = ScenarioRun<TapsScheduler>;
+using OracleRun = ScenarioRun<oracle::FullReplanTaps>;
+
+std::optional<std::string> compare_runs(const SessionRun& inc, const OracleRun& full) {
   std::ostringstream os;
   const auto fail = [&os]() -> std::optional<std::string> { return os.str(); };
 
   for (std::size_t i = 0; i < inc.net->tasks().size(); ++i) {
     if (inc.net->tasks()[i].state != full.net->tasks()[i].state) {
-      os << "task " << i << " state: incremental " << net::to_string(inc.net->tasks()[i].state)
-         << " vs full " << net::to_string(full.net->tasks()[i].state);
+      os << "task " << i << " state: session " << net::to_string(inc.net->tasks()[i].state)
+         << " vs oracle " << net::to_string(full.net->tasks()[i].state);
       return fail();
     }
   }
@@ -147,22 +155,33 @@ std::optional<std::string> compare_runs(const ScenarioRun& inc, const ScenarioRu
   const TapsCounters& cb = full.sched->counters();
   if (ca.tasks_accepted != cb.tasks_accepted || ca.tasks_rejected != cb.tasks_rejected ||
       ca.tasks_preempted != cb.tasks_preempted || ca.replans != cb.replans ||
-      ca.replan_reverts != cb.replan_reverts) {
+      ca.replan_reverts != cb.replan_reverts || ca.plan_commits != cb.plan_commits ||
+      ca.slice_grants != cb.slice_grants) {
     os << "decision counters differ: accepted " << ca.tasks_accepted << "/"
        << cb.tasks_accepted << " rejected " << ca.tasks_rejected << "/" << cb.tasks_rejected
        << " preempted " << ca.tasks_preempted << "/" << cb.tasks_preempted << " replans "
        << ca.replans << "/" << cb.replans << " reverts " << ca.replan_reverts << "/"
-       << cb.replan_reverts;
+       << cb.replan_reverts << " commits " << ca.plan_commits << "/" << cb.plan_commits
+       << " grants " << ca.slice_grants << "/" << cb.slice_grants;
     return fail();
   }
   return std::nullopt;
 }
 
 TAPS_PROP(TapsIncrementalProp, BitIdenticalToFullReplan, 150) {
-  prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) {
-    const ScenarioRun inc = run_scenario(tasks, /*incremental=*/true);
-    const ScenarioRun full = run_scenario(tasks, /*incremental=*/false);
-    return compare_runs(inc, full);
+  prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) -> std::optional<std::string> {
+    // kProgress never preempts when a task's flows arrive together;
+    // kSchedulable does, which drives the preemption-validation replan and
+    // the session restarts it can force.
+    for (const PreemptPolicy policy : {PreemptPolicy::kProgress, PreemptPolicy::kSchedulable}) {
+      const SessionRun inc = run_scenario<TapsScheduler>(tasks, policy);
+      const OracleRun full = run_scenario<oracle::FullReplanTaps>(tasks, policy);
+      if (auto diff = compare_runs(inc, full)) {
+        return std::string(policy == PreemptPolicy::kProgress ? "kProgress: " : "kSchedulable: ") +
+               *diff;
+      }
+    }
+    return std::nullopt;
   });
 }
 
@@ -170,15 +189,15 @@ TEST(TapsIncrementalProp, ReuseActuallyHappensInAggregate) {
   // Guard against the reuse machinery silently degenerating into "restart
   // every session": across a batch of random scenarios (each containing
   // same-instant cascades) prefix reuse must fire, and must save real
-  // planning work relative to the full-replan oracle.
+  // planning work relative to the from-scratch oracle.
   util::Rng rng(0xC0FFEE);
   std::size_t reused = 0;
   std::size_t planned_inc = 0;
   std::size_t planned_full = 0;
   for (int i = 0; i < 25; ++i) {
     const std::vector<TaskGen> tasks = gen_scenario(rng);
-    const ScenarioRun inc = run_scenario(tasks, /*incremental=*/true);
-    const ScenarioRun full = run_scenario(tasks, /*incremental=*/false);
+    const SessionRun inc = run_scenario<TapsScheduler>(tasks);
+    const OracleRun full = run_scenario<oracle::FullReplanTaps>(tasks);
     reused += inc.sched->counters().cross_arrival_reuse_flows +
               inc.sched->counters().checkpoint_reuse_flows;
     planned_inc += inc.sched->counters().flows_planned;

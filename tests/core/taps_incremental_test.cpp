@@ -1,15 +1,17 @@
-// Unit tests for the incremental-replanning machinery: the occupancy undo
+// Unit tests for the admission-session machinery: the occupancy undo
 // journal, cross-arrival/within-arrival reuse counters, the missed-deadline
 // no-waste invalidation, and the periodic occupancy/slice trim. The
-// bit-identity of incremental vs full replanning itself is pinned by
+// bit-identity of sessions vs the from-scratch oracle itself is pinned by
 // taps_incremental_prop_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "core/occupancy.hpp"
 #include "core/taps_scheduler.hpp"
+#include "oracle/full_replan.hpp"
 #include "util/rng.hpp"
 
 namespace taps::core {
@@ -165,32 +167,48 @@ TEST(TapsIncremental, CheckpointReuseOnRejectedNewcomer) {
   EXPECT_GT(sched.counters().checkpoint_reuse_flows, 0u);
 }
 
-TEST(TapsIncremental, MissedDeadlineStopsSiblingsAndInvalidatesReuse) {
-  // Satellite regression for the no-waste rule: when an admitted flow is
-  // reported missed, every unfinished sibling must be rejected, its rate
-  // zeroed and its slices cleared — and the scheduler must keep working
-  // (the next arrival takes the full-replan path and re-establishes the
-  // incremental session's validity).
-  auto d = make_dumbbell(6);
-  net::Network net(*d.topology);
+/// The missed-deadline scenario up to the miss: t0 (three flows sharing the
+/// bottleneck) and t1 admitted at t=0, then the data plane reports t0's
+/// first flow missed at t=5 (as the packet engine does when an exact-fit
+/// admission lands a pipeline late). Returns the missed flow.
+template <typename Sched>
+net::FlowId run_until_miss(const test::Dumbbell& d, net::Network& net, Sched& sched) {
   const net::TaskId t0 =
       add_task(net, 0.0, 10.0,
                {flow(d.left[0], d.right[0], 2.0), flow(d.left[1], d.right[1], 3.0),
                 flow(d.left[2], d.right[2], 4.0)});
   const net::TaskId t1 = add_task(net, 0.0, 40.0, {flow(d.left[3], d.right[3], 1.0)});
-  TapsScheduler sched;
   sched.bind(net);
   sched.on_task_arrival(t0, 0.0);
   sched.on_task_arrival(t1, 0.0);
-  ASSERT_EQ(sched.counters().tasks_accepted, 2u);
-
-  // Simulate the data plane reporting the first flow missed (as the packet
-  // engine does when an exact-fit admission lands a pipeline late).
   const net::FlowId missed = net.tasks()[static_cast<std::size_t>(t0)].spec.flows[0];
   net.flow(missed).state = net::FlowState::kMissed;
   sched.on_flow_finished(missed, 5.0);
+  return missed;
+}
 
-  for (const net::FlowId sibling : net.tasks()[static_cast<std::size_t>(t0)].spec.flows) {
+/// The arrival after the miss: t2 at t=6.
+template <typename Sched>
+net::TaskId arrive_after_miss(const test::Dumbbell& d, net::Network& net, Sched& sched) {
+  const net::TaskId t2 = add_task(net, 6.0, 40.0, {flow(d.left[4], d.right[4], 1.0)});
+  sched.on_task_arrival(t2, 6.0);
+  return t2;
+}
+
+TEST(TapsIncremental, MissedDeadlineStopsSiblingsAndInvalidatesReuse) {
+  // Satellite regression for the no-waste rule: when an admitted flow is
+  // reported missed, every unfinished sibling must be rejected, its rate
+  // zeroed and its slices cleared — together with its committed occupancy —
+  // and the scheduler must keep working (the next arrival opens its session
+  // with adoption off and re-establishes cross-arrival validity).
+  auto d = make_dumbbell(6);
+  net::Network net(*d.topology);
+  TapsScheduler sched;
+  const net::FlowId missed = run_until_miss(d, net, sched);
+  ASSERT_EQ(sched.counters().tasks_accepted, 2u);
+
+  const net::Task& t0 = net.tasks()[static_cast<std::size_t>(net.flow(missed).task())];
+  for (const net::FlowId sibling : t0.spec.flows) {
     if (sibling == missed) continue;
     const net::Flow& s = net.flow(sibling);
     EXPECT_EQ(s.state, net::FlowState::kRejected) << "sibling " << sibling;
@@ -198,14 +216,40 @@ TEST(TapsIncremental, MissedDeadlineStopsSiblingsAndInvalidatesReuse) {
     EXPECT_TRUE(sched.slices(sibling).empty()) << "sibling " << sibling;
   }
   // The unrelated task is untouched.
-  const net::FlowId other = net.tasks()[static_cast<std::size_t>(t1)].spec.flows[0];
+  const net::FlowId other = net.tasks()[1].spec.flows[0];
   EXPECT_EQ(net.flow(other).state, net::FlowState::kActive);
 
-  // A later arrival still schedules correctly on the full-replan fallback.
-  const net::TaskId t2 = add_task(net, 6.0, 40.0, {flow(d.left[4], d.right[4], 1.0)});
-  sched.on_task_arrival(t2, 6.0);
+  // A later arrival still schedules correctly.
+  const net::TaskId t2 = arrive_after_miss(d, net, sched);
   EXPECT_EQ(sched.counters().tasks_accepted, 3u);
   EXPECT_FALSE(sched.slices(net.tasks()[static_cast<std::size_t>(t2)].spec.flows[0]).empty());
+
+  // No orphaned sibling occupancy: from `now` on, every link is occupied by
+  // exactly the union of the committed slices of the flows crossing it.
+  constexpr double kNow = 6.0;
+  for (topo::LinkId l = 0; l < static_cast<topo::LinkId>(net.graph().link_count()); ++l) {
+    util::IntervalSet expected;
+    for (const net::Flow& f : net.flows()) {
+      if (std::find(f.path.links.begin(), f.path.links.end(), l) != f.path.links.end()) {
+        expected = expected.unite(sched.slices(f.id()));
+      }
+    }
+    expected.trim_before(kNow);
+    util::IntervalSet actual = sched.occupancy().link(l);
+    actual.trim_before(kNow);
+    EXPECT_EQ(actual, expected) << "link " << l;
+  }
+
+  // The from-scratch oracle, driven through the same calls, commits the
+  // same plan.
+  net::Network oracle_net(*d.topology);
+  oracle::FullReplanTaps oracle;
+  (void)run_until_miss(d, oracle_net, oracle);
+  (void)arrive_after_miss(d, oracle_net, oracle);
+  for (const net::Flow& f : net.flows()) {
+    EXPECT_EQ(sched.slices(f.id()), oracle.slices(f.id())) << "flow " << f.id();
+    EXPECT_EQ(f.path.links, oracle_net.flow(f.id()).path.links) << "flow " << f.id();
+  }
 }
 
 std::size_t stored_intervals(const TapsScheduler& sched, const net::Network& net,

@@ -161,39 +161,36 @@ TAPS_PROP(SimEngineEquivProp, IndexedMatchesReferenceBitwise, 8) {
 }
 
 /// Deterministic contended-dumbbell case crossing every decision path
-/// (admit, reject, preempt) under incremental TAPS, with the recorder
-/// attached to both planes — the same workload as the TimelineIdentity
-/// suite, now compared across engines.
+/// (admit, reject, preempt) under TAPS, with the recorder attached to both
+/// planes — the same workload as the TimelineIdentity suite, now compared
+/// across engines.
 TEST(SimEngineEquiv, TimelineIdenticalOnContendedDumbbell) {
-  for (const bool incremental : {false, true}) {
-    auto run_engine = [incremental](SimEngine engine) {
-      auto d = make_dumbbell(4);
-      net::Network net(*d.topology);
-      add_task(net, 0.0, 8.0,
-               {flow(d.left[0], d.right[0], 4.0), flow(d.left[1], d.right[1], 2.0)});
-      add_task(net, 1.0, 3.0, {flow(d.left[2], d.right[2], 1.5)});
-      add_task(net, 1.0, 9.0, {flow(d.left[3], d.right[3], 3.0)});
-      add_task(net, 2.0, 4.0, {flow(d.left[0], d.right[1], 1.0)});
-      add_task(net, 2.5, 5.0, {flow(d.left[1], d.right[0], 2.0)});
-      add_task(net, 3.0, 6.5, {flow(d.left[2], d.right[3], 2.5)});
-      core::TapsConfig cfg;
-      cfg.incremental_replan = incremental;
-      cfg.preempt_policy = core::PreemptPolicy::kSchedulable;
-      cfg.trim_interval = 2;
-      core::TapsScheduler sched(cfg);
-      TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
-      sched.set_schedule_observer(&rec);
-      FluidSimulator simulator(net, sched, engine);
-      simulator.set_observer(&rec);
-      const SimStats stats = simulator.run();
-      return std::make_pair(outcome_fingerprint(net, stats), rec.timeline());
-    };
-    const auto [ref_fp, ref_tl] = run_engine(SimEngine::kReference);
-    const auto [idx_fp, idx_tl] = run_engine(SimEngine::kIndexed);
-    EXPECT_EQ(ref_fp, idx_fp) << "incremental=" << incremental;
-    EXPECT_TRUE(ref_tl == idx_tl) << "timeline diverged (incremental=" << incremental << ")";
-    EXPECT_GT(ref_tl.events.size(), 6u);
-  }
+  auto run_engine = [](SimEngine engine) {
+    auto d = make_dumbbell(4);
+    net::Network net(*d.topology);
+    add_task(net, 0.0, 8.0,
+             {flow(d.left[0], d.right[0], 4.0), flow(d.left[1], d.right[1], 2.0)});
+    add_task(net, 1.0, 3.0, {flow(d.left[2], d.right[2], 1.5)});
+    add_task(net, 1.0, 9.0, {flow(d.left[3], d.right[3], 3.0)});
+    add_task(net, 2.0, 4.0, {flow(d.left[0], d.right[1], 1.0)});
+    add_task(net, 2.5, 5.0, {flow(d.left[1], d.right[0], 2.0)});
+    add_task(net, 3.0, 6.5, {flow(d.left[2], d.right[3], 2.5)});
+    core::TapsConfig cfg;
+    cfg.preempt_policy = core::PreemptPolicy::kSchedulable;
+    cfg.trim_interval = 2;
+    core::TapsScheduler sched(cfg);
+    TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
+    sched.set_schedule_observer(&rec);
+    FluidSimulator simulator(net, sched, engine);
+    simulator.set_observer(&rec);
+    const SimStats stats = simulator.run();
+    return std::make_pair(outcome_fingerprint(net, stats), rec.timeline());
+  };
+  const auto [ref_fp, ref_tl] = run_engine(SimEngine::kReference);
+  const auto [idx_fp, idx_tl] = run_engine(SimEngine::kIndexed);
+  EXPECT_EQ(ref_fp, idx_fp);
+  EXPECT_TRUE(ref_tl == idx_tl) << "timeline diverged";
+  EXPECT_GT(ref_tl.events.size(), 6u);
 }
 
 /// The effort counters must actually tell the two engines apart on a
