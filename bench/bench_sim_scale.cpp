@@ -5,10 +5,13 @@
 //     skipped at the 1M preset, where its O(active)-per-event rescan is the
 //     point of the exercise, not a number worth waiting for).
 // One sample = seconds per simulator event for one full run (fresh network
-// and workload per repeat; construction and generation are untimed), so the
-// gated quantity tracks per-event engine cost, not workload size. Derived
-// metrics record events/sec, the indexed-over-reference speedup, and the
-// process peak RSS after each preset.
+// and workload per repeat; construction and generation are untimed). That is
+// not a pure engine cost: every task arrival replans all unfinished flows,
+// so at the k16_100k preset the TAPS planner (Algorithm 3's path union
+// first) takes over 90% of the run and the indexed event loop under 1%. A
+// change to either layer moves the number. Derived metrics record
+// events/sec, the indexed-over-reference speedup, and the process peak RSS
+// after each preset.
 //
 // Every dual-engine preset also cross-checks bit-identity inline: outcome
 // fingerprints (flow states, remaining/bytes_sent/completion_time bits,
@@ -51,10 +54,10 @@ struct Preset {
 };
 
 /// Wide coflow-style tasks (hundreds of flows sharing one deadline, the
-/// paper's Fig. 11 regime): arrivals — and with them TAPS replanning — are
-/// rare relative to simulator events, while the shared deadline keeps
-/// hundreds-to-thousands of flows in flight at once. That makes the
-/// per-event engine passes, not the planner, the measured quantity.
+/// paper's Fig. 11 regime): arrivals are rare relative to simulator events,
+/// while the shared deadline keeps hundreds-to-thousands of flows in flight
+/// at once. Each arrival still replans all of them, so at scale the planner,
+/// not the per-event engine passes, dominates the measured time.
 taps::workload::WorkloadConfig workload_for(const Preset& p) {
   taps::workload::WorkloadConfig wc;
   wc.task_count = p.task_count;

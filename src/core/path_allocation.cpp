@@ -56,6 +56,21 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
       candidate_paths(net, f, config, scratch, fallback_candidates);
   PlanScratch local_scratch;
   PlanScratch& sc = scratch != nullptr ? *scratch : local_scratch;
+  // Start a new race: the occupancy and `now` may differ from the last call.
+  sc.time_alloc.invalidate();
+  ++sc.race;
+  if (sc.link_bounds.size() < occupancy.link_count()) {
+    sc.link_bounds.resize(occupancy.link_count());
+  }
+  // The map is const for the whole race, so each link's bound is evaluated
+  // once per duration instead of once per candidate through it.
+  const auto link_bound = [&](topo::LinkId lid, double duration) {
+    PlanScratch::LinkBound& memo = sc.link_bounds[static_cast<std::size_t>(lid)];
+    if (memo.race != sc.race || memo.duration != duration) {
+      memo = {sc.race, duration, occupancy.single_link_completion(lid, now, duration)};
+    }
+    return memo.completion;
+  };
   double best_completion = sim::kInfinity;
   for (const topo::Path& p : candidates) {
     // The paper assumes uniform link bandwidth; transfer time is computed at
@@ -78,7 +93,7 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     double lower_bound = now;
     bool hopeless = false;
     for (const topo::LinkId lid : p.links) {
-      lower_bound = std::max(lower_bound, occupancy.single_link_completion(lid, now, duration));
+      lower_bound = std::max(lower_bound, link_bound(lid, duration));
       if (lower_bound > horizon + kLbSlack || lower_bound > best_completion + kLbSlack) {
         hopeless = true;
         break;

@@ -8,7 +8,9 @@
 // it cannot finish).
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/time_allocation.hpp"
 #include "net/network.hpp"
@@ -39,9 +41,10 @@ struct PlanConfig {
 /// re-enumerates them on every call — which the old replan loop did for
 /// every flow on every arrival. Keeping the scratch alive across replans
 /// caches each flow's candidate list after its first planning. Also carries
-/// the candidate race's trial slice set and the allocator merge buffers, so
-/// a planning domain's entire scratch travels in one object (no hidden
-/// `thread_local` state — the concurrency linter bans it).
+/// the candidate race's trial slice set, the allocator's prefix unions and
+/// the per-link lower-bound memo, so a planning domain's entire scratch
+/// travels in one object (no hidden `thread_local` state — the concurrency
+/// linter bans it).
 // taps-threading: single-domain -- one instance per planning domain.
 struct PlanScratch {
   /// Indexed by FlowId; an empty inner vector means "not yet computed"
@@ -50,8 +53,18 @@ struct PlanScratch {
   /// Trial slice set for the candidate-path race (swapped into the winning
   /// plan and recycled otherwise).
   util::IntervalSet trial;
-  /// allocate_time_into's restricted-range and union-merge buffers.
+  /// allocate_time_into's prefix unions, shared across one candidate race.
   TimeAllocScratch time_alloc;
+  /// OccupancyMap::single_link_completion memo for one plan_one_flow call,
+  /// indexed by LinkId: an entry counts only when its `race` matches the
+  /// current one and its `duration` the candidate's.
+  struct LinkBound {
+    std::uint64_t race = 0;
+    double duration = 0.0;
+    double completion = 0.0;
+  };
+  std::vector<LinkBound> link_bounds;
+  std::uint64_t race = 0;
 
   void clear() { candidates.clear(); }
 };
@@ -66,7 +79,8 @@ struct FlowPlan {
 };
 
 /// Plan a single flow against the current occupancy (does not commit).
-/// `scratch` (optional) caches the flow's candidate paths across calls.
+/// `scratch` (optional) caches the flow's candidate paths across calls; its
+/// race state (prefix unions, lower-bound memo) is invalidated on entry.
 [[nodiscard]] FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy,
                                      net::FlowId fid, double now, const PlanConfig& config,
                                      PlanScratch* scratch = nullptr);

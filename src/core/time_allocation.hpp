@@ -8,11 +8,11 @@
 //
 // allocate_time materializes T_ocp restricted to the window that can
 // matter — each link's range starts at its earliest-free hint and stops at
-// min(completion_bound, horizon) — into reused scratch buffers, then scans
-// it with a branch-and-bound abort. The textbook two-step (path_union, then
-// IntervalSet::allocate_earliest) lives in taps_oracle as
-// oracle::allocate_time_reference; the equivalence property test drives
-// both on random instances.
+// min(completion_bound, horizon) — as a stack of prefix unions shared across
+// a candidate race, then scans it with a branch-and-bound abort. The
+// textbook two-step (path_union, then IntervalSet::allocate_earliest) lives
+// in taps_oracle as oracle::allocate_time_reference; the equivalence
+// property test drives both on random instances.
 #pragma once
 
 #include <limits>
@@ -29,23 +29,35 @@ struct TimeAllocation {
   [[nodiscard]] bool feasible() const { return !slices.empty(); }
 };
 
-/// Caller-owned reusable buffers for allocate_time_into (the restricted
-/// per-link ranges and the two union-merge ping-pong buffers). Explicitly
-/// threaded through instead of hidden `thread_local` state so concurrent
-/// planners — the parallel per-pod advancement plan runs one per domain —
-/// each bring their own, with no cross-domain scratch in sight of the
-/// concurrency linter.
+/// Caller-owned prefix-union stack for allocate_time_into. Each call folds
+/// its path's links outside-in (first, last, second, second-to-last, ...);
+/// level k holds the union of the first k + 1 folded links' restricted
+/// ranges. Algorithm 2's candidates share their outer links (on a fat-tree
+/// all share both host links, and each aggregation group its two agg-level
+/// links), so the next call reuses the longest common prefix of levels and
+/// merges only its own links.
+///
+/// Levels stay valid while the occupancy map and `now` are unchanged and
+/// min(completion_bound, horizon) does not grow — exactly one
+/// plan_one_flow candidate race. Call invalidate() to start each race;
+/// plan_one_flow does so on entry.
 // taps-threading: single-domain -- scratch owned by one planning domain.
 struct TimeAllocScratch {
-  struct Range {
+  struct Level {
+    topo::LinkId link = topo::kInvalidLink;  // link folded in at this level
+    // The prefix union: a view into `buf`, a lower level's buf, or the
+    // occupancy map itself (a single non-empty range needs no copy).
     const util::Interval* first = nullptr;
     const util::Interval* last = nullptr;
-
-    [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(last - first); }
+    std::vector<util::Interval> buf;
   };
 
-  std::vector<Range> ranges;
-  std::vector<util::Interval> bufs[2];
+  std::vector<Level> levels;
+  std::size_t depth = 0;  // levels[0, depth) hold a valid prefix
+  double now = 0.0;       // the race's `now` and latest stop (debug checks)
+  double stop = 0.0;
+
+  void invalidate() { depth = 0; }
 };
 
 /// Allocate `duration` seconds on `path` starting at `now`, finishing no
@@ -68,8 +80,9 @@ struct TimeAllocScratch {
 /// this 16x per flow and discards most results). Returns feasibility;
 /// `completion` is set only when feasible, and `slices` is left empty on
 /// infeasibility/abort. Same semantics as allocate_time otherwise.
-/// `scratch` (optional) reuses the merge buffers across calls; passing none
-/// costs a fresh allocation per call, which only the oracle/test paths do.
+/// `scratch` (optional) carries the prefix unions from call to call under
+/// TimeAllocScratch's validity rule; passing none folds into a fresh local
+/// stack, which only the oracle/test paths do.
 [[nodiscard]] bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path,
                                       double now, double duration, double horizon,
                                       double completion_bound, util::IntervalSet& slices,

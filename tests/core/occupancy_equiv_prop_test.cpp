@@ -5,9 +5,12 @@
 // hints, path_union_from, the fused allocate_time) while keeping the plain
 // scans (path_union + IntervalSet search, oracle::allocate_time_reference)
 // in-tree as references. These properties pin the equivalence on random instances —
-// including interleaved mutations, which are exactly what invalidates hints.
+// including interleaved mutations, which are exactly what invalidates hints
+// and the prefix unions a candidate race shares through TimeAllocScratch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -34,19 +37,49 @@ struct Op {
     kQueryUnion,     // path_union_from vs filtered path_union
     kQueryAllocate,  // fused allocate_time vs allocate_time_reference
     kQueryCollides,  // collides on a random probe set
+    kQueryRace,      // Algorithm 2's candidate race through one reused scratch
   };
   Kind kind = kOccupy;
   int link = 0;
   double a = 0.0;
   double b = 0.0;
+  std::vector<topo::Path> race;  // kQueryRace's candidates, in race order
 
   friend std::ostream& operator<<(std::ostream& os, const Op& op) {
-    static const char* names[] = {"occupy",      "trim",        "clear",   "query_index",
-                                  "query_union", "query_alloc", "collides"};
-    return os << names[op.kind] << "(link=" << op.link << ", a=" << op.a << ", b=" << op.b
-              << ")";
+    static const char* names[] = {"occupy",      "trim",        "clear",    "query_index",
+                                  "query_union", "query_alloc", "collides", "race"};
+    os << names[op.kind] << "(link=" << op.link << ", a=" << op.a << ", b=" << op.b;
+    for (const topo::Path& p : op.race) {
+      os << (&p == op.race.data() ? ", paths=[" : " ");
+      for (std::size_t j = 0; j < p.links.size(); ++j) os << (j == 0 ? "" : "-") << p.links[j];
+    }
+    return os << (op.race.empty() ? ")" : "])");
   }
 };
+
+/// 2-8 candidate paths that share their first and last links (as a flow's
+/// fat-tree candidates share both host links), with 0-4 distinct middle
+/// links each. Half the candidates keep the previous one's middle order, so
+/// the race reuses prefixes of several depths.
+std::vector<topo::Path> generate_race(util::Rng& rng) {
+  const auto first = static_cast<topo::LinkId>(rng.uniform_int(0, kLinks - 1));
+  const auto last =
+      static_cast<topo::LinkId>((first + rng.uniform_int(1, kLinks - 1)) % kLinks);
+  std::vector<topo::LinkId> middle;
+  for (std::size_t l = 0; l < kLinks; ++l) {
+    const auto lid = static_cast<topo::LinkId>(l);
+    if (lid != first && lid != last) middle.push_back(lid);
+  }
+  std::vector<topo::Path> race(static_cast<std::size_t>(rng.uniform_int(2, 8)));
+  for (topo::Path& p : race) {
+    if (rng.bernoulli(0.5)) std::shuffle(middle.begin(), middle.end(), rng.engine());
+    const auto hops = rng.uniform_int(0, static_cast<std::int64_t>(middle.size()));
+    p.links.push_back(first);
+    p.links.insert(p.links.end(), middle.begin(), middle.begin() + hops);
+    p.links.push_back(last);
+  }
+  return race;
+}
 
 std::vector<Op> generate_ops(util::Rng& rng) {
   const auto n = static_cast<std::size_t>(rng.uniform_int(1, 60));
@@ -56,13 +89,16 @@ std::vector<Op> generate_ops(util::Rng& rng) {
     Op op;
     // Mutations and queries interleave ~1:2 so hints get exercised both
     // warm (repeated queries) and freshly invalidated (query after occupy).
-    const auto roll = rng.uniform_int(0, 9);
+    const auto roll = rng.uniform_int(0, 10);
     if (roll < 2) {
       op.kind = Op::kOccupy;
     } else if (roll == 2) {
       op.kind = Op::kTrim;
     } else if (roll == 3) {
       op.kind = Op::kClear;
+    } else if (roll == 10) {
+      op.kind = Op::kQueryRace;
+      op.race = generate_race(rng);
     } else {
       op.kind = static_cast<Op::Kind>(Op::kQueryIndex + (roll - 4) % 4);
     }
@@ -92,6 +128,10 @@ double horizon_spread(const Op& op) {
 
 std::optional<std::string> check(const std::vector<Op>& ops) {
   OccupancyMap occ(kLinks);
+  // One scratch for the whole sequence, as a planning domain keeps it: each
+  // race starts by invalidating it, so the mutations between races must
+  // never leak a stale prefix union into a result.
+  TimeAllocScratch scratch;
   for (const Op& op : ops) {
     switch (op.kind) {
       case Op::kOccupy: {
@@ -222,6 +262,39 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
           }
         }
         if (occ.collides(p, probe) != expect) return "collides mismatch";
+        break;
+      }
+
+      case Op::kQueryRace: {
+        // plan_one_flow's race: each candidate runs under the best completion
+        // so far as its bound, so the shared levels were restricted at an
+        // earlier, larger stop. Every result must be the reference's, kept
+        // only when strictly earlier than the bound.
+        const double duration = op.b - op.a;
+        const double horizon = op.a + duration * horizon_spread(op);
+        double best = std::numeric_limits<double>::infinity();
+        util::IntervalSet trial;
+        scratch.invalidate();
+        for (std::size_t i = 0; i < op.race.size(); ++i) {
+          const topo::Path& p = op.race[i];
+          double completion = 0.0;
+          const bool won = allocate_time_into(occ, p, op.a, duration, horizon, best, trial,
+                                              completion, &scratch);
+          const TimeAllocation ref =
+              oracle::allocate_time_reference(occ, p, op.a, duration, horizon);
+          const bool expect_won = ref.feasible() && ref.completion < best;
+          if (won != expect_won || !(trial == (won ? ref.slices : util::IntervalSet{})) ||
+              (won && completion != ref.completion)) {
+            std::ostringstream os;
+            os << "race candidate " << i << " (from=" << op.a << ", dur=" << duration
+               << ", horizon=" << horizon << ", bound=" << best << "): fused {won=" << won
+               << ", " << trial << ", completion=" << (won ? completion : 0.0)
+               << "} != reference {feasible=" << ref.feasible() << ", " << ref.slices
+               << ", completion=" << ref.completion << "}";
+            return os.str();
+          }
+          if (won) best = completion;
+        }
         break;
       }
     }

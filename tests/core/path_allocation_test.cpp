@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/fixtures.hpp"
+#include "topo/fattree.hpp"
 
 namespace taps::core {
 namespace {
@@ -78,6 +81,40 @@ TEST(PlanOneFlow, MultipathRoutesAroundBusyArm) {
   EXPECT_DOUBLE_EQ(plan.completion, 2.0);
   // The chosen path must not include the busy x->b link.
   for (const topo::LinkId lid : plan.path.links) EXPECT_NE(lid, x_link);
+}
+
+// A PlanScratch lives across a planning domain's whole run, while its race
+// state (prefix unions, per-link lower bounds) is valid for one
+// plan_one_flow call only. Three flows on the same k=4 fat-tree endpoints
+// (four candidates sharing both host links) are planned through one scratch,
+// committing each plan before the next; every plan must equal a
+// scratch-less one bitwise. Planning at an earlier `now` after a commit
+// catches a stale lower bound (it would wrongly prune every candidate as
+// past the deadline); planning at a later one catches a stale prefix union
+// (the host links would look idle on the other aggregation group).
+TEST(PlanOneFlow, ReusedScratchMatchesFreshAcrossMutations) {
+  topo::FatTree ft(topo::FatTreeConfig{4, 1.0});
+  net::Network net(ft);
+  const topo::NodeId src = ft.host(0, 0, 0);
+  const topo::NodeId dst = ft.host(1, 0, 0);
+  add_task(net, 0.0, 10.0, {flow(src, dst, 1.0)});  // flow 0
+  add_task(net, 0.0, 1.5, {flow(src, dst, 1.0)});   // flow 1: fits only before flow 0
+  add_task(net, 0.0, 10.0, {flow(src, dst, 1.0)});  // flow 2
+  ASSERT_EQ(ft.paths(src, dst, PlanConfig{}.max_paths).size(), 4u);
+
+  OccupancyMap occ(net.graph().link_count());
+  PlanScratch scratch;
+  const std::pair<net::FlowId, double> steps[] = {{0, 1.0}, {1, 0.0}, {2, 0.5}};
+  for (const auto& [fid, now] : steps) {
+    const FlowPlan reused = plan_one_flow(net, occ, fid, now, PlanConfig{}, &scratch);
+    const FlowPlan fresh = plan_one_flow(net, occ, fid, now, PlanConfig{});
+    ASSERT_TRUE(fresh.feasible) << "flow " << fid;
+    EXPECT_EQ(reused.feasible, fresh.feasible) << "flow " << fid;
+    EXPECT_EQ(reused.path.links, fresh.path.links) << "flow " << fid;
+    EXPECT_EQ(reused.slices, fresh.slices) << "flow " << fid;
+    EXPECT_EQ(reused.completion, fresh.completion) << "flow " << fid;
+    occ.occupy(fresh.path, fresh.slices);
+  }
 }
 
 TEST(PlanFlows, CommitsOccupancyBetweenFlows) {
