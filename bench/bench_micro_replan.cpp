@@ -13,10 +13,6 @@
 //   - the end-to-end arrival cascade: N tasks admitted back-to-back through
 //     a fresh scheduler, where prefix reuse keeps the per-arrival tail short
 //     (cascade/arrivals=N/incremental);
-//   - the hierarchical-admission cascade: a reject-heavy hotspot workload
-//     A/B'd with the pod-local feasibility precheck on vs off
-//     (cascade_hier/arrivals=N/...) — decisions are bit-identical, the
-//     precheck only changes what a rejection costs;
 //   - exp::run_sweep thread scaling on a small scenario.
 //
 // `--quick` shrinks everything to CI-smoke scale. With `--json` the run
@@ -301,106 +297,6 @@ void bench_cascade(BenchRunner& runner, bool quick, std::uint64_t seed) {
   }
 }
 
-/// Reject-heavy cascade for the hierarchical pod precheck, all at t=0:
-/// ~65% background tasks (random host pairs, near-sorted deadlines over
-/// [50 ms, 4 s], 0.5-2 ms transfers — mostly admitted, so the committed set
-/// and the occupancy map grow like a loaded controller's) interleaved with
-/// ~35% doomed probes from 8 hotspot hosts whose transfer exceeds their
-/// deadline window (1.05-1.6x) — provably infeasible before any occupancy
-/// is consulted. Without the precheck every probe still pays a trial
-/// replan at its (random) EDF position over the committed tail; with it
-/// the probe is fast-rejected for the cost of the adoption-only re-commit.
-void fill_hotspot_tasks(taps::net::Network& net, const taps::topo::Topology& topo,
-                        std::size_t tasks, std::uint64_t seed) {
-  const auto& hosts = topo.hosts();
-  const auto last = static_cast<std::int64_t>(hosts.size()) - 1;
-  const double cap = net.capacity();
-  constexpr std::size_t kHotspots = 8;
-  const std::size_t stride = std::max<std::size_t>(1, hosts.size() / kHotspots);
-  const double step = 4.0 / static_cast<double>(tasks);
-  taps::util::Rng rng(seed);
-  for (std::size_t i = 0; i < tasks; ++i) {
-    taps::net::FlowSpec fs;
-    if (rng.bernoulli(0.35)) {  // hotspot probe: cannot fit even an idle link
-      const auto hot = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(kHotspots) - 1));
-      fs.src = hosts[(hot * stride) % hosts.size()];
-      do {
-        fs.dst = hosts[static_cast<std::size_t>(rng.uniform_int(0, last))];
-      } while (fs.dst == fs.src);
-      const double deadline = rng.uniform_real(0.05, 4.0);
-      fs.size = cap * deadline * rng.uniform_real(1.05, 1.6);
-      net.add_task(0.0, deadline, std::span<const taps::net::FlowSpec>(&fs, 1));
-    } else {  // background: near-sorted deadline ramp, mostly admitted
-      fs.src = hosts[static_cast<std::size_t>(rng.uniform_int(0, last))];
-      do {
-        fs.dst = hosts[static_cast<std::size_t>(rng.uniform_int(0, last))];
-      } while (fs.dst == fs.src);
-      fs.size = cap * rng.uniform_real(0.0005, 0.002);
-      const double deadline =
-          0.05 + step * static_cast<double>(i) + rng.uniform_real(0.0, 3.0 * step);
-      net.add_task(0.0, deadline, std::span<const taps::net::FlowSpec>(&fs, 1));
-    }
-  }
-}
-
-/// Hierarchical-admission cascade A/B: the hotspot cascade with the
-/// pod-local feasibility precheck on vs off on otherwise identical
-/// schedulers. Outcomes are bit-identical either way (pinned by
-/// tests/core/taps_hierarchy_prop_test.cpp); the precheck only changes what
-/// a rejection costs — a provably-infeasible arrival skips the trial replan
-/// and pays just the adoption-only compacting re-commit. The
-/// fast_reject_share metric records how often the fast path fired, so the
-/// speedup can be read against its coverage.
-void bench_cascade_hier(BenchRunner& runner, bool quick, std::uint64_t seed) {
-  const taps::topo::FatTree topo(taps::topo::FatTreeConfig::scaled());
-  const std::vector<std::size_t> scales =
-      quick ? std::vector<std::size_t>{100} : std::vector<std::size_t>{1000, 10000};
-  constexpr std::size_t kSlowSamples = 3;  // samples for multi-second ops
-
-  const auto cascade = [&](std::size_t n, bool precheck) {
-    taps::net::Network net(topo);
-    fill_hotspot_tasks(net, topo, n, seed + n);
-    taps::core::TapsConfig config;
-    config.hierarchical_precheck = precheck;
-    taps::core::TapsScheduler sched(config);
-    sched.bind(net);
-    const double secs = time_arrivals(sched, 0, n);
-    return std::make_pair(secs, sched.counters());
-  };
-
-  for (const std::size_t n : scales) {
-    const std::string prefix = "cascade_hier/arrivals=" + std::to_string(n) + "/";
-    const bool slow = !quick && n >= 10000;
-    const std::size_t reps = slow ? kSlowSamples : runner.options().repeats;
-
-    std::vector<double> on;
-    on.reserve(reps);
-    taps::core::TapsCounters counters;
-    for (std::size_t r = 0; r < reps; ++r) {
-      auto [secs, c] = cascade(n, /*precheck=*/true);
-      on.push_back(secs);
-      counters = c;
-    }
-    const double on_median =
-        runner.add_samples(prefix + "precheck_on", std::move(on)).median;
-
-    std::vector<double> off;
-    off.reserve(reps);
-    for (std::size_t r = 0; r < reps; ++r) {
-      off.push_back(cascade(n, /*precheck=*/false).first);
-    }
-    const double off_median =
-        runner.add_samples(prefix + "precheck_off", std::move(off)).median;
-
-    runner.add_metric(prefix + "speedup", off_median / on_median);
-    runner.add_metric(
-        prefix + "fast_reject_share",
-        static_cast<double>(counters.pod_fast_rejects) /
-            static_cast<double>(std::max<std::size_t>(1, counters.tasks_rejected)));
-  }
-}
-
 void bench_sweep_threads(BenchRunner& runner, bool quick) {
   // Thread scaling of the sweep fan-out itself (cells are independent
   // simulations). On a 1-core host the curve is flat — that is the honest
@@ -429,8 +325,7 @@ int main(int argc, char** argv) {
   taps::util::Cli cli("bench_micro_replan",
                       "TAPS hot-path microbenchmarks: IntervalSet, OccupancyMap, "
                       "per-arrival replan at 1k/10k/50k flows, warm-scheduler "
-                      "arrivals + arrival cascades, hierarchical pod-precheck A/B, "
-                      "sweep thread scaling");
+                      "arrivals + arrival cascades, sweep thread scaling");
   taps::bench::add_common_options(cli);
   cli.add_flag("quick", "tiny CI-smoke scale (fewer flows, smaller sets)");
   if (!cli.parse(argc, argv)) return 1;
@@ -448,7 +343,6 @@ int main(int argc, char** argv) {
   bench_replan(runner, quick, o.seed);
   bench_arrival(runner, quick, o.seed);
   bench_cascade(runner, quick, o.seed);
-  bench_cascade_hier(runner, quick, o.seed);
   bench_sweep_threads(runner, quick);
 
   for (const auto& [name, value] : runner.metrics()) {

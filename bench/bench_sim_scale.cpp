@@ -1,9 +1,9 @@
 // Simulation-engine scale benchmark: fat-tree workloads from 10k to 1M
-// flows pushed through FluidSimulator under both engines —
-//   - sim_scale/<preset>/indexed:   SimEngine::kIndexed (the default),
-//   - sim_scale/<preset>/reference: SimEngine::kReference (the oracle loop;
-//     skipped at the 1M preset, where its O(active)-per-event rescan is the
-//     point of the exercise, not a number worth waiting for).
+// flows pushed through both event loops —
+//   - sim_scale/<preset>/indexed:   sim::FluidSimulator,
+//   - sim_scale/<preset>/reference: oracle::ReferenceSimulator (the oracle
+//     loop; skipped at the 1M preset, where its O(active)-per-event rescan
+//     is the point of the exercise, not a number worth waiting for).
 // One sample = seconds per simulator event for one full run (fresh network
 // and workload per repeat; construction and generation are untimed). That is
 // not a pure engine cost: every task arrival replans all unfinished flows,
@@ -33,6 +33,7 @@
 #include "bench_common.hpp"
 #include "core/taps_scheduler.hpp"
 #include "net/network.hpp"
+#include "oracle/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "topo/fattree.hpp"
 #include "util/rng.hpp"
@@ -91,7 +92,7 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
 }
 
 RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_t seed,
-                    taps::sim::SimEngine engine) {
+                    bool reference) {
   taps::net::Network net(ft);
   taps::util::Rng rng(seed);
   (void)taps::workload::generate(net, workload_for(p), rng);
@@ -102,7 +103,7 @@ RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_
   // Rate maintenance is bit-transparent either way (pinned by the
   // equivalence property suite), so the fingerprint cross-check still holds
   // across the toggle.
-  cfg.event_driven_rates = engine == taps::sim::SimEngine::kIndexed;
+  cfg.event_driven_rates = !reference;
   // Wide coflow tasks mean few arrivals, and trimming is arrival-counted —
   // at the default interval (64) these presets would never trim and every
   // replan would re-merge the whole run's slice history. Trimming never
@@ -114,10 +115,11 @@ RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_
   // per-event numbers at these task widths. Identical for both engines.
   cfg.max_paths = 8;
   taps::core::TapsScheduler scheduler(cfg);
-  taps::sim::FluidSimulator simulator(net, scheduler, engine);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const taps::sim::SimStats stats = simulator.run();
+  const taps::sim::SimStats stats = reference
+                                        ? taps::oracle::ReferenceSimulator(net, scheduler).run()
+                                        : taps::sim::FluidSimulator(net, scheduler).run();
   const auto t1 = std::chrono::steady_clock::now();
 
   RunOutcome out;
@@ -146,7 +148,7 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux reports KiB
 }
 
-/// Bench one (preset, engine): samples are seconds per event. Returns the
+/// Bench one (preset, event loop): samples are seconds per event. Returns the
 /// median sec/event and the last run's fingerprint for cross-checking.
 struct EngineResult {
   double sec_per_event = 0.0;
@@ -155,14 +157,14 @@ struct EngineResult {
 
 EngineResult bench_engine(BenchRunner& runner, const taps::topo::FatTree& ft,
                           const Preset& p, std::uint64_t seed, std::size_t repeats,
-                          taps::sim::SimEngine engine) {
+                          bool reference) {
   const std::string name =
-      "sim_scale/" + p.name + "/" + taps::sim::to_string(engine);
+      "sim_scale/" + p.name + (reference ? "/reference" : "/indexed");
   std::vector<double> samples;
   samples.reserve(repeats);
   RunOutcome last;
   for (std::size_t r = 0; r < repeats; ++r) {
-    last = run_once(ft, p, taps::util::hash_combine(seed, r), engine);
+    last = run_once(ft, p, taps::util::hash_combine(seed, r), reference);
     samples.push_back(last.seconds / static_cast<double>(last.stats.events));
   }
   const double median = runner.add_samples(name, std::move(samples)).median;
@@ -227,10 +229,10 @@ int main(int argc, char** argv) {
     const taps::topo::FatTree ft(
         taps::topo::FatTreeConfig{p.k, taps::topo::kGigabitPerSecond});
     const EngineResult indexed =
-        bench_engine(runner, ft, p, o.seed, o.repeats, taps::sim::SimEngine::kIndexed);
+        bench_engine(runner, ft, p, o.seed, o.repeats, /*reference=*/false);
     if (p.both_engines) {
-      const EngineResult reference = bench_engine(runner, ft, p, o.seed, o.repeats,
-                                                  taps::sim::SimEngine::kReference);
+      const EngineResult reference =
+          bench_engine(runner, ft, p, o.seed, o.repeats, /*reference=*/true);
       if (indexed.fingerprint != reference.fingerprint) {
         std::cerr << "bench_sim_scale: ENGINE DIVERGENCE at preset " << p.name
                   << " (indexed fingerprint != reference fingerprint)\n";

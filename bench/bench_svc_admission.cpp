@@ -11,13 +11,11 @@
 //                             wait_idle).
 // A second, mixed stream (~30% of tasks span two pods) measures
 // hierarchical cross-pod admission through the same three operating points
-// (admit_mixed/...), plus the retired classification for reference
-// (admit_mixed/legacy_sharded8_seq: cross_pod=false, spanning tasks
-// rejected kCrossShard).
+// (admit_mixed/...).
 //
 // One sample = one fresh service admitting the whole stream; construction
-// is untimed. Derived metrics record admissions/sec, the accept ratio and
-// the kCrossShard reject share per configuration, the sharded and threaded
+// is untimed. Derived metrics record admissions/sec and the accept ratio
+// per configuration, the sharded and threaded
 // speedups over the global sequential baseline, and — on the mixed stream —
 // the sharded service's accept-ratio agreement with the unsharded global
 // controller (the admission-quality cost of going hierarchical).
@@ -73,9 +71,8 @@ std::vector<taps::svc::TaskRequest> pod_local_stream(const taps::topo::FatTree& 
 }
 
 /// Mixed arrival stream: same shape as pod_local_stream, but ~30% of tasks
-/// span two pods — the traffic the sharded service used to reject
-/// kCrossShard unconditionally and now admits on its global domain under
-/// the per-pod uplink budget.
+/// span two pods, which the sharded service admits on its global domain
+/// under the per-pod uplink budget.
 std::vector<taps::svc::TaskRequest> mixed_stream(const taps::topo::FatTree& ft,
                                                  std::size_t n, std::uint64_t seed) {
   const int half = ft.k() / 2;
@@ -113,7 +110,6 @@ std::vector<taps::svc::TaskRequest> mixed_stream(const taps::topo::FatTree& ft,
 struct RunOutcome {
   double seconds = 0.0;
   std::size_t accepted = 0;
-  std::size_t cross_shard = 0;  // Reason::kCrossShard rejects
 };
 
 /// One timed admission run: fresh service (untimed), then submit the whole
@@ -137,9 +133,7 @@ RunOutcome run_stream(const taps::topo::FatTree& ft,
     std::cerr << "bench_svc_admission: response count mismatch ("
               << stats.responses << " != " << requests.size() << ")\n";
   }
-  const std::size_t cross_shard =
-      stats.by_reason[static_cast<std::size_t>(taps::svc::Reason::kCrossShard)];
-  return {std::chrono::duration<double>(t1 - t0).count(), stats.accepted, cross_shard};
+  return {std::chrono::duration<double>(t1 - t0).count(), stats.accepted};
 }
 
 struct ConfigResult {
@@ -148,7 +142,7 @@ struct ConfigResult {
 };
 
 /// Time `repeats` runs of one configuration and record samples plus the
-/// derived admissions/sec, accept-ratio and kCrossShard-share metrics.
+/// derived admissions/sec and accept-ratio metrics.
 ConfigResult bench_config(BenchRunner& runner, const std::string& name,
                           const taps::topo::FatTree& ft,
                           const std::vector<taps::svc::TaskRequest>& requests,
@@ -157,22 +151,17 @@ ConfigResult bench_config(BenchRunner& runner, const std::string& name,
   std::vector<double> samples;
   samples.reserve(repeats);
   std::size_t accepted = 0;
-  std::size_t cross_shard = 0;
   (void)run_stream(ft, requests, config, started);  // warmup, untimed
   for (std::size_t r = 0; r < repeats; ++r) {
     const RunOutcome out = run_stream(ft, requests, config, started);
     samples.push_back(out.seconds);
     accepted = out.accepted;
-    cross_shard = out.cross_shard;
   }
   const double median = runner.add_samples(name, std::move(samples)).median;
   runner.add_metric(name + "/admissions_per_sec",
                     static_cast<double>(accepted) / median);
   runner.add_metric(name + "/accept_ratio",
                     static_cast<double>(accepted) /
-                        static_cast<double>(requests.size()));
-  runner.add_metric(name + "/cross_shard_share",
-                    static_cast<double>(cross_shard) /
                         static_cast<double>(requests.size()));
   return {median, accepted};
 }
@@ -224,9 +213,7 @@ int main(int argc, char** argv) {
 
   // Hierarchical cross-pod admission: the mixed stream through the same
   // operating points. Spanning tasks ride the dedicated global domain
-  // (local reserve -> global commit); legacy_sharded8_seq keeps the old
-  // classification for reference, so its cross_shard_share metric records
-  // exactly the traffic the hierarchical path recovers.
+  // (local reserve -> global commit).
   const std::vector<taps::svc::TaskRequest> mixed = mixed_stream(ft, n, o.seed + 1);
   config.shards = 1;
   config.threads = 0;
@@ -241,11 +228,6 @@ int main(int argc, char** argv) {
   const ConfigResult mixed_threaded = bench_config(runner, "admit_mixed/sharded8_threads4",
                                                    ft, mixed, config, /*started=*/true);
 
-  config.threads = 0;
-  config.cross_pod = false;
-  (void)bench_config(runner, "admit_mixed/legacy_sharded8_seq", ft, mixed, config,
-                     /*started=*/false);
-  config.cross_pod = true;
 
   runner.add_metric("admit_mixed/sharded_speedup", mixed_global.median / mixed_sharded.median);
   runner.add_metric("admit_mixed/threaded_speedup",

@@ -30,9 +30,6 @@ void TapsScheduler::bind(net::Network& net) {
   rate_touched_mark_.assign(net.flows().size(), 0);
   rate_touched_.clear();
   rate_fallback_ = false;
-  // The index is maintained even with the precheck disabled (upkeep is
-  // O(newly committed flows)), so the flag can be flipped mid-run.
-  pod_index_.bind(net.topology().pods(), net.flows().size());
 }
 
 void TapsScheduler::migrate(net::Network& fresh, const std::vector<net::FlowId>& flow_map) {
@@ -72,11 +69,6 @@ void TapsScheduler::migrate(net::Network& fresh, const std::vector<net::FlowId>&
   rate_touched_mark_.assign(fresh.flows().size(), 0);
   rate_touched_.clear();
   for (const FlowId fid : committed_order_) touch_slices(fid);
-  // Flow ids changed wholesale: drop the pod registries and let the next
-  // commit re-register the surviving committed set (the gate stays closed —
-  // hence no fast rejects — until then, which only costs speed, never
-  // changes a decision).
-  pod_index_.bind(fresh.topology().pods(), fresh.flows().size());
 }
 
 std::vector<FlowId> TapsScheduler::unfinished_admitted() const {
@@ -146,7 +138,6 @@ void TapsScheduler::maybe_trim(double now) {
   // the map so a session's vacate-by-slices stays exact.
   occ_.trim_before(now);
   for (auto& sl : slices_) sl.trim_before(now);
-  pod_index_.on_trim(*net_, now);
   ++counters_.occupancy_trims;
 }
 
@@ -186,26 +177,6 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
     if (f.active() && f.remaining > sim::kByteEpsilon) continue;
     const auto& sl = slices_[static_cast<std::size_t>(fid)];
     if (!sl.empty() && sl.back_end() <= now) session_retired_.push_back(fid);
-  }
-
-  // Hierarchical pod-local precheck: prove the newcomer infeasible without a
-  // trial replan when possible. Sound only while the no-transmission gate
-  // holds and the cross-arrival validity tokens are fresh, so decisions stay
-  // flag-independent.
-  if (config_.hierarchical_precheck && pod_index_.enabled() &&
-      config_.fault_skip_occupy == net::kInvalidFlow && cross_arrival_valid_ &&
-      pod_index_.armed(now)) {
-    if (pod_index_.provably_infeasible(*net_, wave, now, config_.guard_band,
-                                       committed_remaining_)) {
-      fast_reject(id, now);
-      return;
-    }
-    ++counters_.global_fallbacks;
-    const topo::PodMap* pods = net_->topology().pods();
-    for (const FlowId fid : wave) {
-      const Flow& f = net_->flow(fid);
-      if (pods->same_pod(f.spec.src, f.spec.dst)) ++counters_.pod_local_plans;
-    }
   }
 
   // Algorithm 1's cascade as one journaled session over the live committed
@@ -267,26 +238,10 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
   for (const FlowId fid : trial_order) {
     if (net_->flow(fid).task() != id) incumbents.push_back(fid);
   }
-  reject_and_compact(id, incumbents, now);
-}
-
-void TapsScheduler::fast_reject(TaskId id, double now) {
-  ++counters_.pod_fast_rejects;
-  // Under the precheck's no-transmission gate every incumbent entry is
-  // adoption-eligible, so the compacting replan reproduces the committed
-  // plan verbatim (zero re-grants) — but it still commits, keeping
-  // plan_commits / validity tokens / timeline streams bit-identical to the
-  // precheck-off cascade. A later wave's task may own admitted flows: they
-  // leave with it.
-  std::vector<FlowId> incumbents = unfinished_admitted();
-  std::erase_if(incumbents, [&](FlowId fid) { return net_->flow(fid).task() == id; });
-  sort_order(incumbents, incumbents.size());
-  open_session(incumbents, now);
-  reject_and_compact(id, incumbents, now);
-}
-
-void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& incumbents,
-                                       double now) {
+  // The cascade's reject tail: reject the newcomer and commit the compacted
+  // plan if every survivor stays feasible; otherwise keep the prior plan,
+  // whose future part still fits every deadline because transmission
+  // followed it exactly.
   net_->reject_task(id);
   ++counters_.tasks_rejected;
   if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
@@ -424,7 +379,6 @@ void TapsScheduler::commit_session(double now) {
   sched::ScheduleObserver* obs = schedule_observer();
   std::vector<sched::CommittedFlowView> view;
   if (obs != nullptr) view.reserve(session_order_.size());
-  pod_index_.begin_commit();
   for (std::size_t k = 0; k < session_order_.size(); ++k) {
     const FlowId fid = session_order_[k];
     const auto i = static_cast<std::size_t>(fid);
@@ -445,10 +399,8 @@ void TapsScheduler::commit_session(double now) {
     }
     committed_order_.push_back(fid);
     committed_remaining_[i] = f.remaining;
-    pod_index_.observe_commit_entry(*net_, f, slices_[i], counters_.budget_reservations);
     if (obs != nullptr) view.push_back({fid, f.task(), regranted, &f.path, &slices_[i]});
   }
-  pod_index_.end_commit();
   ++counters_.plan_commits;
   // occ_ already holds exactly the committed occupancy; the journal's undo
   // history is no longer needed.

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <queue>
 
-#include "core/pod_admission.hpp"
 #include "core/reject_rule.hpp"
 #include "sched/scheduler.hpp"
 
@@ -59,16 +58,6 @@ struct TapsConfig {
   /// rescan path, which implements it. `false` keeps the rescan
   /// (assign_rates_reference) as the oracle.
   bool event_driven_rates = true;
-  /// Hierarchical two-level admission: on pod topologies (Topology::pods()),
-  /// run a conservative pod-local feasibility precheck per arrival and
-  /// fast-reject tasks that are provably infeasible within their pod
-  /// budget/deadline window, skipping the trial replan entirely. The check
-  /// only fires when the reject is certain (reject-rule Rule 2 applies), so
-  /// committed decisions/schedules are bit-identical either way (pinned by
-  /// tests/core/taps_hierarchy_prop_test.cpp and the golden timelines);
-  /// `false` keeps the always-global pipeline as the oracle. Inert on
-  /// topologies without pod metadata.
-  bool hierarchical_precheck = true;
 };
 
 // taps-threading: thread-compatible
@@ -112,18 +101,8 @@ struct TapsCounters {
   /// sim::TimelineRecorder would record (docs/TIMELINE.md), counted whether
   /// or not one is attached — so sweep CSVs stay byte-identical either way.
   std::size_t slice_grants = 0;
-  /// Hierarchical admission (TapsConfig::hierarchical_precheck): tasks
-  /// rejected by the pod-local precheck without touching the global planner.
+  /// Always 0: nothing increments it. perfbench/harness/common.hpp still reads it.
   std::size_t pod_fast_rejects = 0;
-  /// Wave flows that passed the precheck with both endpoints in one pod —
-  /// their candidate paths (and hence plan_one_flow's occupancy probes) are
-  /// confined to that pod's link subset.
-  std::size_t pod_local_plans = 0;
-  /// Cross-pod committed flows registered against a pod-uplink budget.
-  std::size_t budget_reservations = 0;
-  /// Arrivals that passed (or skipped) the pod-local precheck and fell
-  /// through to the global planning path while the precheck was armed.
-  std::size_t global_fallbacks = 0;
 };
 
 // taps-threading: single-domain -- scheduler state advances under one simulation domain
@@ -145,15 +124,6 @@ class TapsScheduler : public sched::BaseScheduler {
   [[nodiscard]] const OccupancyMap& occupancy() const { return occ_; }
   [[nodiscard]] const TapsCounters& counters() const { return counters_; }
 
-  /// Bench/test hook: flip the hierarchical precheck on a live scheduler.
-  /// The pod index is maintained regardless of the flag (commit-time upkeep
-  /// is O(newly committed flows)), so toggling mid-run behaves exactly like
-  /// having run with that setting from the start.
-  void set_hierarchical_precheck(bool on) { config_.hierarchical_precheck = on; }
-
-  /// Pod-admission index (hierarchical precheck state), for tests.
-  [[nodiscard]] const PodAdmissionIndex& pod_index() const { return pod_index_; }
-
   /// Move the committed scheduler state onto `fresh`, a re-registration of
   /// the current network's unfinished tasks (same flow states/remaining
   /// bitwise, same relative order). `flow_map[old_id]` gives each old flow's
@@ -174,17 +144,6 @@ class TapsScheduler : public sched::BaseScheduler {
 
  private:
   void admit(net::TaskId id, const std::vector<net::FlowId>& wave, double now);
-
-  /// Hierarchical fast-reject: skip the trial replan (the newcomer was
-  /// proven infeasible pod-locally) and run the cascade's reject tail.
-  void fast_reject(net::TaskId id, double now);
-
-  /// The cascade's reject tail: reject `id`, re-aim the open session at
-  /// `incumbents` and commit the compacted plan if every survivor stays
-  /// feasible; otherwise keep the prior plan, whose future part still fits
-  /// every deadline because transmission followed it exactly.
-  void reject_and_compact(net::TaskId id, const std::vector<net::FlowId>& incumbents,
-                          double now);
 
   /// Sort `order` EDF+SJF. The first `sorted_prefix` entries are known to be
   /// in committed order (modulo remaining-size drift on deadline ties, which
@@ -258,7 +217,6 @@ class TapsScheduler : public sched::BaseScheduler {
   std::vector<net::FlowId> committed_order_;  // EDF+SJF order of the last commit
   PlanScratch plan_scratch_;               // per-flow candidate-path cache
   TapsCounters counters_;
-  PodAdmissionIndex pod_index_;            // hierarchical-admission registries
 
   // Session state (meaningful only within one arrival, reset by the
   // arrival and open_session, except committed_remaining_ /

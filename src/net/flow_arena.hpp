@@ -121,8 +121,9 @@ class FlowStateArena {
 
   /// Move the dirty list (flows whose rate changed since the last drain, in
   /// first-change order) into `out` and reset the per-slot flags. The
-  /// reference engine never drains; the flags then bound the list at one
-  /// entry per flow, so memory stays O(flows) either way. Owning domain only.
+  /// reference event loop (oracle::ReferenceSimulator) never drains; the
+  /// flags then bound the list at one entry per flow, so memory stays
+  /// O(flows) either way. Owning domain only.
   void drain_dirty(std::vector<FlowId>& out) {
     out.clear();
     out.swap(dirty_);

@@ -1,10 +1,46 @@
 #include "net/network.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace taps::net {
 
+Network::Network(const topo::Topology& topology)
+    : topo_(&topology), is_host_(topology.graph().node_count(), 0) {
+  for (const topo::NodeId h : topology.hosts()) is_host_[static_cast<std::size_t>(h)] = 1;
+}
+
+void Network::check_flow(const FlowSpec& spec, double arrival, double deadline) const {
+  const auto host = [this](topo::NodeId n) {
+    return n >= 0 && static_cast<std::size_t>(n) < is_host_.size() &&
+           is_host_[static_cast<std::size_t>(n)] != 0;
+  };
+  const char* error = nullptr;
+  if (!host(spec.src)) {
+    error = "src is not a host";
+  } else if (!host(spec.dst)) {
+    error = "dst is not a host";
+  } else if (spec.src == spec.dst) {
+    error = "src == dst";
+  } else if (!std::isfinite(spec.size) || !(spec.size > 0.0)) {
+    error = "size must be finite and positive";
+  } else if (!std::isfinite(arrival) || !std::isfinite(deadline)) {
+    error = "arrival and deadline must be finite";
+  } else if (!(deadline > arrival)) {
+    error = "deadline must be later than arrival";
+  }
+  if (error != nullptr) {
+    throw std::invalid_argument(
+        std::string("invalid flow (src ") + std::to_string(spec.src) + ", dst " +
+        std::to_string(spec.dst) + ", size " + std::to_string(spec.size) + ", arrival " +
+        std::to_string(arrival) + ", deadline " + std::to_string(deadline) + "): " + error);
+  }
+}
+
 TaskId Network::add_task(double arrival, double deadline, std::span<const FlowSpec> flow_specs) {
+  for (const FlowSpec& fs : flow_specs) check_flow(fs, arrival, deadline);
   const TaskId tid = static_cast<TaskId>(tasks_.size());
   TaskSpec tspec;
   tspec.id = tid;
@@ -17,8 +53,6 @@ TaskId Network::add_task(double arrival, double deadline, std::span<const FlowSp
     spec.task = tid;
     spec.arrival = arrival;
     spec.deadline = deadline;
-    assert(spec.src != spec.dst);
-    assert(spec.size > 0.0);
     tspec.flows.push_back(spec.id);
     arena_.push(spec.size);
     flows_.emplace_back(spec, arena_);
@@ -28,8 +62,16 @@ TaskId Network::add_task(double arrival, double deadline, std::span<const FlowSp
 }
 
 void Network::extend_task(TaskId id, double arrival, std::span<const FlowSpec> flow_specs) {
+  if (id < 0 || static_cast<std::size_t>(id) >= tasks_.size()) {
+    throw std::invalid_argument("extend_task: unknown task " + std::to_string(id));
+  }
   Task& t = task(id);
-  assert(arrival >= t.spec.arrival);
+  if (!(arrival >= t.spec.arrival)) {
+    throw std::invalid_argument("extend_task: wave arrival " + std::to_string(arrival) +
+                                " precedes the task's arrival " +
+                                std::to_string(t.spec.arrival));
+  }
+  for (const FlowSpec& fs : flow_specs) check_flow(fs, arrival, t.spec.deadline);
   const bool dead = t.state == TaskState::kRejected || t.state == TaskState::kFailed;
   for (const FlowSpec& fs : flow_specs) {
     FlowSpec spec = fs;
@@ -37,8 +79,6 @@ void Network::extend_task(TaskId id, double arrival, std::span<const FlowSpec> f
     spec.task = id;
     spec.arrival = arrival;
     spec.deadline = t.spec.deadline;
-    assert(spec.src != spec.dst);
-    assert(spec.size > 0.0);
     t.spec.flows.push_back(spec.id);
     arena_.push(spec.size);
     flows_.emplace_back(spec, arena_);

@@ -15,7 +15,7 @@ namespace taps::net {
 class Network {
  public:
   /// The topology must outlive the Network.
-  explicit Network(const topo::Topology& topology) : topo_(&topology) {}
+  explicit Network(const topo::Topology& topology);
 
   // Flow views borrow slots in arena_; copying or moving the Network would
   // leave them bound to the old object's arena.
@@ -27,16 +27,26 @@ class Network {
 
   /// Register a task and its flows. Flow ids and the task id are assigned
   /// here (contiguous, in registration order) and written back into the
-  /// returned structures; `spec.flows`/`flow.task` are filled in.
+  /// returned structures; `spec.flows`/`flow.task` are filled in. Throws
+  /// std::invalid_argument (registering nothing) when check_flow rejects
+  /// any flow.
   TaskId add_task(double arrival, double deadline, std::span<const FlowSpec> flow_specs);
 
   /// Append a later wave of flows to an existing task (the paper's dynamic
   /// Algorithm-1 setting, where a task's flows arrive over time and share
-  /// the task's deadline). `arrival` must be >= the task's arrival. A task
-  /// that had already completed is reopened (kAdmitted) — it is complete
-  /// again only when the new wave also finishes. Waves cannot be added to
-  /// rejected or failed tasks (the flows are registered as kRejected).
+  /// the task's deadline). A task that had already completed is reopened
+  /// (kAdmitted) — it is complete again only when the new wave also
+  /// finishes. Waves cannot be added to rejected or failed tasks (the flows
+  /// are registered as kRejected). Throws std::invalid_argument (registering
+  /// nothing) for an unknown task, an `arrival` earlier than the task's, or
+  /// a flow check_flow rejects.
   void extend_task(TaskId id, double arrival, std::span<const FlowSpec> flow_specs);
+
+  /// Throws std::invalid_argument unless `spec` can be registered in a task
+  /// window [arrival, deadline): both endpoints are hosts of the topology,
+  /// src != dst, the size is finite and positive, both times are finite and
+  /// deadline > arrival.
+  void check_flow(const FlowSpec& spec, double arrival, double deadline) const;
 
   [[nodiscard]] const topo::Topology& topology() const { return *topo_; }
   [[nodiscard]] const topo::Graph& graph() const { return topo_->graph(); }
@@ -73,6 +83,7 @@ class Network {
 
  private:
   const topo::Topology* topo_;
+  std::vector<char> is_host_;  // indexed by NodeId
   FlowStateArena arena_;  // declared before flows_: the views borrow its slots
   std::vector<Flow> flows_;
   std::vector<Task> tasks_;

@@ -5,8 +5,8 @@
 // preemption validation, compaction). Only Algorithms 2/3 and the reject
 // rule are shared with the scheduler. The scheduler's observable
 // bookkeeping (stale-slice retirement, trim cadence, the missed-deadline
-// no-waste rule) is kept so slices and occupancy compare bitwise. No pod
-// precheck, observer or makeup transmission (the fluid engine needs none).
+// no-waste rule) is kept so slices and occupancy compare bitwise. No
+// observer or makeup transmission (the fluid engine needs none).
 #pragma once
 
 #include <vector>

@@ -11,27 +11,17 @@ using net::FlowId;
 using net::FlowState;
 using net::TaskId;
 
-const char* to_string(SimEngine e) {
-  switch (e) {
-    case SimEngine::kIndexed:
-      return "indexed";
-    case SimEngine::kReference:
-      return "reference";
-  }
-  return "?";
-}
-
 // Arrival events: one per (task, wave arrival time). A plain task is one
 // wave; tasks extended with later flows (Network::extend_task) produce one
 // event per distinct flow arrival, re-announcing the task to the scheduler
 // each time new flows become available.
-std::vector<FluidSimulator::Wave> FluidSimulator::build_waves() const {
+std::vector<Wave> build_waves(const net::Network& net) {
   std::vector<Wave> waves;
-  waves.reserve(net_->tasks().size());
-  for (const auto& t : net_->tasks()) {
+  waves.reserve(net.tasks().size());
+  for (const auto& t : net.tasks()) {
     double last = -1.0;
     for (const FlowId fid : t.spec.flows) {
-      const double at = net_->flow(fid).spec.arrival;
+      const double at = net.flow(fid).spec.arrival;
       if (at != last) {
         waves.push_back(Wave{at, t.id()});
         last = at;
@@ -46,132 +36,22 @@ std::vector<FluidSimulator::Wave> FluidSimulator::build_waves() const {
   return waves;
 }
 
-SimStats FluidSimulator::finish_run() {
-  stats_.end_time = now_;
-  for (const auto& f : net_->flows()) {
-    if (f.state == FlowState::kCompleted) ++stats_.completions;
-    if (f.state == FlowState::kMissed) ++stats_.misses;
+SimStats finish_run(const net::Network& net, double end_time, SimStats stats,
+                    TransmitObserver* observer) {
+  stats.end_time = end_time;
+  for (const auto& f : net.flows()) {
+    if (f.state == FlowState::kCompleted) ++stats.completions;
+    if (f.state == FlowState::kMissed) ++stats.misses;
   }
-  if (observer_ != nullptr) observer_->on_run_complete(*net_, now_);
-  return stats_;
+  if (observer != nullptr) observer->on_run_complete(net, end_time);
+  return stats;
 }
 
-SimStats FluidSimulator::run() {
-  return engine_ == SimEngine::kReference ? run_reference() : run_indexed();
-}
-
-constexpr std::size_t kMaxIterations = 200'000'000;
-
-SimStats FluidSimulator::run_reference() {
-  scheduler_->bind(*net_);
-  stats_ = SimStats{};
-  now_ = 0.0;
-  active_.clear();
-
-  const std::vector<Wave> waves = build_waves();
-  std::size_t next_arrival = 0;
-  double next_rate_change = kInfinity;
-  std::vector<char> enlisted(net_->flows().size(), 0);
-
-  while (true) {
-    if (++stats_.events > kMaxIterations) {
-      throw std::runtime_error("FluidSimulator: event budget exceeded (livelock?)");
-    }
-    // Drop flows that left the active set (completed/missed/rejected).
-    std::erase_if(active_, [this](FlowId id) { return net_->flow(id).finished(); });
-
-    // Next event time: arrival, completion, deadline, or scheduler-internal
-    // rate change.
-    double t_next = next_arrival < waves.size() ? waves[next_arrival].time : kInfinity;
-    for (const FlowId fid : active_) {
-      const Flow& f = net_->flow(fid);
-      ++stats_.effort.flows_touched;
-      if (f.rate > 0.0 && f.remaining > kByteEpsilon) {
-        t_next = std::min(t_next, now_ + f.remaining / f.rate);
-      }
-      if (f.spec.deadline >= now_) t_next = std::min(t_next, f.spec.deadline);
-    }
-    // A rate-change boundary only a hair after now_ must still be taken:
-    // discarding it would also discard every boundary behind it until the
-    // next arrival/completion event (a paused flow could then sleep through
-    // its whole transmission window). Strictly-greater guarantees progress.
-    if (next_rate_change > now_) t_next = std::min(t_next, next_rate_change);
-
-    if (t_next == kInfinity) break;
-    t_next = std::max(t_next, now_);
-
-    if (observer_ != nullptr) observer_->on_event(t_next);
-    advance_to(t_next);
-    settle(t_next);
-
-    while (next_arrival < waves.size() && waves[next_arrival].time <= now_ + kTimeEpsilon) {
-      const TaskId tid = waves[next_arrival++].task;
-      if (observer_ != nullptr) observer_->on_task_arrival(net_->task(tid), now_);
-      scheduler_->on_task_arrival(tid, now_);
-      // The observer or scheduler may have registered new flows mid-run
-      // (Network::extend_task): grow the flag array before indexing it.
-      if (enlisted.size() < net_->flows().size()) enlisted.resize(net_->flows().size(), 0);
-      for (const FlowId fid : net_->task(tid).spec.flows) {
-        auto& flag = enlisted[static_cast<std::size_t>(fid)];
-        if (flag == 0 && net_->flow(fid).state == FlowState::kActive) {
-          active_.push_back(fid);
-          flag = 1;
-        }
-      }
-    }
-
-    next_rate_change = scheduler_->assign_rates(now_);
-    // assign_rates may have terminated flows (Early Termination) — their
-    // task/flow states are already final; the active list is pruned lazily.
-  }
-
-  return finish_run();
-}
-
-void FluidSimulator::advance_to(double t) {
-  assert(t >= now_ - kTimeEpsilon);
-  const double dt = t - now_;
-  if (dt > 0.0) {
-    for (const FlowId fid : active_) {
-      Flow& f = net_->flow(fid);
-      if (f.finished() || f.rate <= 0.0 || f.remaining <= 0.0) continue;
-      double bytes = f.rate * dt;
-      if (bytes > f.remaining) bytes = f.remaining;  // absorb rounding
-      f.remaining -= bytes;
-      f.bytes_sent += bytes;
-      if (observer_ != nullptr) observer_->on_transmit(f, now_, t, bytes);
-    }
-  }
-  now_ = t;
-}
-
-void FluidSimulator::settle(double now) {
-  // Completions first: finishing exactly at the deadline counts as meeting it.
-  for (const FlowId fid : active_) {
-    Flow& f = net_->flow(fid);
-    if (f.finished()) continue;
-    if (f.remaining <= kByteEpsilon) {
-      net_->on_flow_completed(fid, now);
-      scheduler_->on_flow_finished(fid, now);
-      if (observer_ != nullptr) observer_->on_flow_finished(f, now);
-    }
-  }
-  for (const FlowId fid : active_) {
-    Flow& f = net_->flow(fid);
-    if (f.finished()) continue;
-    if (now >= f.spec.deadline - kTimeEpsilon) {
-      net_->on_flow_missed(fid);
-      scheduler_->on_flow_finished(fid, now);
-      if (observer_ != nullptr) observer_->on_flow_finished(f, now);
-    }
-  }
-}
-
-// The indexed engine replays the reference loop with sub-O(active) data
-// structures. Every floating-point expression that feeds a decision or an
-// observer is kept literally identical to the reference engine's, and all
+// The loop replays oracle::ReferenceSimulator's rescan with sub-O(active)
+// data structures. Every floating-point expression that feeds a decision or
+// an observer is kept literally identical to the reference loop's, and all
 // per-flow processing runs in enlist-sequence order (== the reference
-// active_-list order), so runs are bit-identical — pinned by
+// active-list order), so runs are bit-identical — pinned by
 // tests/sim/sim_engine_equiv_prop_test.cpp and the golden timelines.
 //
 // Correctness of the completion-candidate set (drained_ + finish_watch_)
@@ -179,12 +59,12 @@ void FluidSimulator::settle(double now) {
 // all unfinished enlisted flows have remaining > kByteEpsilon, so the next
 // settle's completions can only come from flows advance just drained or
 // flows enlisted at/below the epsilon since.
-SimStats FluidSimulator::run_indexed() {
+SimStats FluidSimulator::run() {
   scheduler_->bind(*net_);
   stats_ = SimStats{};
   now_ = 0.0;
 
-  const std::vector<Wave> waves = build_waves();
+  const std::vector<Wave> waves = build_waves(*net_);
   std::size_t next_arrival = 0;
   double next_rate_change = kInfinity;
 
@@ -214,7 +94,7 @@ SimStats FluidSimulator::run_indexed() {
   const auto by_seq = [](const SeqFlow& a, const SeqFlow& b) { return a.seq < b.seq; };
 
   while (true) {
-    if (++stats_.events > kMaxIterations) {
+    if (++stats_.events > kMaxEvents) {
       throw std::runtime_error("FluidSimulator: event budget exceeded (livelock?)");
     }
     if (running_unsorted) {
@@ -384,7 +264,7 @@ SimStats FluidSimulator::run_indexed() {
     }
   }
 
-  return finish_run();
+  return finish_run(*net_, now_, stats_, observer_);
 }
 
 }  // namespace taps::sim

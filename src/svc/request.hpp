@@ -44,9 +44,9 @@ enum class Reason : std::uint8_t {
   /// The TAPS reject rule declined the task (infeasible, not worth a
   /// preemption) — the only reason that involves running the planner.
   kPlannerReject,
-  /// Endpoints span multiple pods while the service runs sharded with
-  /// cross-pod admission disabled; see docs/CONTROLLER.md ("Sharding")
-  /// for the single-shard fallback.
+  /// Never produced: sharded services admit spanning tasks on their global
+  /// domain. Kept so the value numbering, kReasonCount and perfbench's
+  /// reason switch stay as they are.
   kCrossShard,
   kMalformed,
   /// Arrival time earlier than an already-enqueued arrival.

@@ -36,8 +36,7 @@ AdmissionService::AdmissionService(const topo::Topology& topology, const Service
             : 0;
     node_shard_[static_cast<std::size_t>(host)] = static_cast<int>(shard);
   }
-  const topo::PodMap* pods = topo_->pods();
-  const bool global_domain = config_.shards > 1 && config_.cross_pod && pods != nullptr;
+  const bool global_domain = config_.shards > 1;
   shards_.reserve(config_.shards + (global_domain ? 1 : 0));
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(topology, config_.shard));
@@ -48,7 +47,7 @@ AdmissionService::AdmissionService(const topo::Topology& topology, const Service
     // (reserve_cross_pod) bound how much pod-uplink time it may promise.
     global_shard_ = static_cast<int>(shards_.size());
     shards_.push_back(std::make_unique<Shard>(topology, config_.shard));
-    pod_reserved_.resize(static_cast<std::size_t>(pods->pod_count()));
+    pod_reserved_.resize(static_cast<std::size_t>(fat_tree->pods()->pod_count()));
   }
 }
 
@@ -120,10 +119,6 @@ std::size_t AdmissionService::classify(const TaskRequest& request,
       spanning = true;
       break;
     }
-  }
-  if (spanning && global_shard_ < 0) {
-    reject = Reason::kCrossShard;
-    return 0;
   }
   if (request.arrival < last_arrival_) {
     reject = Reason::kOutOfOrder;

@@ -51,16 +51,12 @@ inline constexpr std::size_t kBatchHistBuckets = 16;
 struct ServiceConfig {
   /// Admission domains. 1 = the paper's global controller (any topology);
   /// >1 requires a fat-tree and maps pod p to shard p % shards. Tasks whose
-  /// endpoints span pods take the hierarchical cross-pod path (below) or,
-  /// with cross_pod disabled, are rejected kCrossShard.
+  /// endpoints span pods are admitted hierarchically: they reserve budgeted
+  /// pod-uplink time under the service lock in submission order (local
+  /// reserve), then commit on a dedicated global-domain shard alongside the
+  /// pod shards (global commit). Unsharded services need no budget — every
+  /// task already plans against full topology state.
   std::size_t shards = 1;
-  /// Hierarchical cross-pod admission (sharded services only): spanning
-  /// tasks reserve budgeted pod-uplink time under the service lock in
-  /// submission order (local reserve), then commit on a dedicated
-  /// global-domain shard alongside the pod shards (global commit).
-  /// Unsharded services need no budget — every task already plans against
-  /// full topology state (the single-shard fallback).
-  bool cross_pod = true;
   /// Fraction of a pod's aggregate uplink time a deadline window's cross-pod
   /// reservations may claim before kBudgetExhausted. Reservations are made
   /// in submission order and expire with their window, never on planner
@@ -144,7 +140,7 @@ class AdmissionService {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] const Shard& shard(std::size_t i) const { return *shards_[i]; }
   /// True when spanning tasks are admitted on a dedicated global domain
-  /// (sharded service with cross_pod on). That domain is the last shard.
+  /// (every sharded service). That domain is the last shard.
   [[nodiscard]] bool has_global_domain() const { return global_shard_ >= 0; }
   [[nodiscard]] std::size_t global_domain() const {
     return static_cast<std::size_t>(global_shard_);
@@ -186,7 +182,7 @@ class AdmissionService {
   std::vector<std::unique_ptr<Shard>> shards_;
   /// NodeId -> owning shard, -1 for non-host nodes (malformed endpoints).
   std::vector<int> node_shard_;
-  /// Index of the global cross-pod domain in shards_, -1 when disabled.
+  /// Index of the global cross-pod domain in shards_, -1 when unsharded.
   int global_shard_ = -1;
   /// Per-pod cross-pod reservations: deadline window -> seconds of the
   /// pod's aggregate uplink time already promised to spanning tasks.

@@ -31,10 +31,6 @@ ShardStats aggregate(const std::vector<ShardStats>& shards) {
     total.taps.checkpoint_reuse_flows += s.taps.checkpoint_reuse_flows;
     total.taps.session_restarts += s.taps.session_restarts;
     total.taps.occupancy_trims += s.taps.occupancy_trims;
-    total.taps.pod_fast_rejects += s.taps.pod_fast_rejects;
-    total.taps.pod_local_plans += s.taps.pod_local_plans;
-    total.taps.budget_reservations += s.taps.budget_reservations;
-    total.taps.global_fallbacks += s.taps.global_fallbacks;
   }
   return total;
 }
@@ -102,10 +98,6 @@ metrics::RunMetrics to_run_metrics(const ServiceStats& service,
   m.prefix_reuse_flows = total.taps.cross_arrival_reuse_flows + total.taps.checkpoint_reuse_flows;
   const double denom = static_cast<double>(m.prefix_reuse_flows + m.flows_planned);
   m.prefix_reuse_ratio = denom == 0.0 ? 0.0 : static_cast<double>(m.prefix_reuse_flows) / denom;
-  m.pod_fast_rejects = total.taps.pod_fast_rejects;
-  m.pod_local_plans = total.taps.pod_local_plans;
-  m.budget_reservations = total.taps.budget_reservations;
-  m.global_fallbacks = total.taps.global_fallbacks;
   // Queue-level rejects (malformed, overload, ...) never reach a shard, so
   // service.responses can exceed tasks_total; the reason breakdown in
   // stats_table carries that detail.

@@ -17,29 +17,16 @@ PodMap::PodMap(const Graph& g, std::vector<int> pod_of_node, int pod_count)
     }
   }
 
-  host_uplink_.assign(g.node_count(), kInvalidLink);
-  host_downlink_.assign(g.node_count(), kInvalidLink);
   for (const Node& n : g.nodes()) {
     if (n.kind != NodeKind::kHost) continue;
     const int p = pod_of(n.id);
     if (p != kNoPod) pods_[static_cast<std::size_t>(p)].hosts.push_back(n.id);
-    // A host with exactly one out-link has a mandatory first hop; anything
-    // else (multi-homed hosts in generic graphs) opts out of the precheck.
-    const std::vector<LinkId>& out = g.out_links(n.id);
-    if (out.size() != 1) continue;
-    const Link& up = g.link(out[0]);
-    const LinkId down = g.link_between(up.dst, n.id);
-    if (down == kInvalidLink) continue;
-    host_uplink_[static_cast<std::size_t>(n.id)] = up.id;
-    host_downlink_[static_cast<std::size_t>(n.id)] = down;
   }
   for (PodInfo& pod : pods_) std::sort(pod.hosts.begin(), pod.hosts.end());
 
-  link_src_pod_.resize(g.link_count());
   for (const Link& l : g.links()) {
     const int sp = pod_of(l.src);
     const int dp = pod_of(l.dst);
-    link_src_pod_[static_cast<std::size_t>(l.id)] = sp;
     if (sp != kNoPod && dp == kNoPod) {
       PodInfo& pod = pods_[static_cast<std::size_t>(sp)];
       pod.uplinks.push_back(l.id);

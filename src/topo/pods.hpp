@@ -3,14 +3,11 @@
 // A PodMap partitions the nodes of a hierarchical topology into pods
 // (aggregation subtrees) and records, per pod, the directed uplinks leaving
 // the pod toward the core layer, the downlinks entering it, and the summed
-// uplink capacity that serves as the pod's bandwidth budget for hierarchical
-// admission. Per-host mandatory links (the host's uplink into its ToR and the
-// ToR's downlink back to the host) are indexed because every candidate path
-// from/to that host traverses them, which makes them sound anchors for
-// conservative per-flow feasibility prechecks (src/core/pod_admission.hpp).
+// uplink capacity that serves as the pod's bandwidth budget for the sharded
+// admission service's cross-pod reservations (src/svc/service.hpp).
 //
 // Topologies without a pod structure simply return nullptr from
-// Topology::pods(); every consumer treats that as "hierarchy disabled".
+// Topology::pods().
 #pragma once
 
 #include <vector>
@@ -44,26 +41,8 @@ class PodMap {
   [[nodiscard]] const PodInfo& pod(int p) const { return pods_[static_cast<std::size_t>(p)]; }
   [[nodiscard]] const std::vector<PodInfo>& pods() const { return pods_; }
 
-  /// The host's single uplink into its ToR (kInvalidLink for non-hosts or
-  /// hosts with several out-links, which the precheck then skips).
-  [[nodiscard]] LinkId host_uplink(NodeId host) const {
-    return host_uplink_[static_cast<std::size_t>(host)];
-  }
-  /// The ToR's downlink back to the host (kInvalidLink likewise).
-  [[nodiscard]] LinkId host_downlink(NodeId host) const {
-    return host_downlink_[static_cast<std::size_t>(host)];
-  }
-
-  /// Pod the link's source node belongs to (kNoPod when the source is core).
-  [[nodiscard]] int pod_of_link_src(LinkId link) const {
-    return link_src_pod_[static_cast<std::size_t>(link)];
-  }
-
  private:
   std::vector<int> pod_of_node_;
-  std::vector<int> link_src_pod_;
-  std::vector<LinkId> host_uplink_;
-  std::vector<LinkId> host_downlink_;
   std::vector<PodInfo> pods_;
 };
 

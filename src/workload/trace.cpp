@@ -3,6 +3,7 @@
 #include <fstream>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "util/csv.hpp"
 
@@ -47,6 +48,11 @@ std::size_t load_trace(net::Network& net, const std::string& path) {
     fs.src = static_cast<topo::NodeId>(std::stol(r[4]));
     fs.dst = static_cast<topo::NodeId>(std::stol(r[5]));
     fs.size = std::stod(r[6]);
+    try {
+      net.check_flow(fs, t.arrival, t.deadline);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(path + ": data row " + std::to_string(i) + ": " + e.what());
+    }
     t.flows.push_back(fs);
   }
   for (const auto& [id, t] : tasks) {

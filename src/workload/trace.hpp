@@ -16,6 +16,8 @@ void save_trace(const net::Network& net, const std::string& path);
 
 /// Load a trace into `net` (which must be empty). Hosts are referenced by
 /// node id and must exist in the bound topology. Returns the task count.
+/// Throws std::invalid_argument naming the data row (1-based, header
+/// excluded) of the first flow Network::check_flow rejects.
 std::size_t load_trace(net::Network& net, const std::string& path);
 
 }  // namespace taps::workload

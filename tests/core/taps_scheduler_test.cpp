@@ -4,6 +4,7 @@
 
 #include "common/fixtures.hpp"
 #include "core/optimal.hpp"
+#include "topo/fattree.hpp"
 #include "util/rng.hpp"
 
 namespace taps::core {
@@ -198,6 +199,59 @@ TEST(TapsScheduler, MatchesOptimalOnSingleLinkInstances) {
   }
   // Aggregate quality: within 20% of optimal across the batch.
   EXPECT_GE(taps_total, optimal_total * 4 / 5);
+}
+
+
+// Reject/accept outcomes on fat-trees at the edges of feasibility: a window
+// shorter than the transfer, a single-uplink pod already committed, and a
+// task that fits only by taking exactly the free time left on a link.
+
+TEST(TapsScheduler, RejectsDeadlineShorterThanAnyFeasibleWindow) {
+  topo::FatTree topo(topo::FatTreeConfig{4, 1.0});
+  net::Network net(topo);
+  const std::vector<topo::NodeId>& hosts = topo.hosts();
+  add_task(net, 0.0, 10.0, {flow(hosts[0], hosts[1], 1.0)});
+  // 3 s of data in a 1 s window: infeasible even on an idle network.
+  add_task(net, 0.0, 1.0, {flow(hosts[8], hosts[12], 3.0)});
+  TapsScheduler sched;
+  (void)test::run(net, sched);
+  EXPECT_EQ(sched.counters().tasks_rejected, 1u);
+  EXPECT_EQ(sched.counters().tasks_accepted, 1u);
+  EXPECT_EQ(net.tasks()[1].state, net::TaskState::kRejected);
+  EXPECT_EQ(test::completed_tasks(net), 1u);
+}
+
+TEST(TapsScheduler, RejectsOverloadOnSingleUplinkPod) {
+  // On the k=2 tree the pod's single uplink is also the host uplink: once a
+  // committed flow owns [0,1] of it, a second task wanting 1 s of
+  // transmission on it inside a 1.8 s window cannot fit.
+  topo::FatTree topo(topo::FatTreeConfig{2, 1.0});
+  net::Network net(topo);
+  const std::vector<topo::NodeId>& hosts = topo.hosts();
+  ASSERT_EQ(hosts.size(), 2u);
+  add_task(net, 0.0, 1.5, {flow(hosts[0], hosts[1], 1.0)});
+  add_task(net, 0.0, 1.8, {flow(hosts[0], hosts[1], 1.0)});
+  TapsScheduler sched;
+  (void)test::run(net, sched);
+  EXPECT_EQ(sched.counters().tasks_accepted, 1u);
+  EXPECT_EQ(sched.counters().tasks_rejected, 1u);
+  EXPECT_EQ(net.tasks()[0].state, net::TaskState::kCompleted);
+  EXPECT_EQ(net.tasks()[1].state, net::TaskState::kRejected);
+}
+
+TEST(TapsScheduler, AdmitsTaskThatExactlyExhaustsTheFreeUplinkTime) {
+  // The second task needs exactly the free time left on the shared host
+  // uplink (1 s of data, window [1,2] after the incumbent's [0,1]): demand
+  // equal to the free time is feasible and must be admitted.
+  topo::FatTree topo(topo::FatTreeConfig{4, 1.0});
+  net::Network net(topo);
+  const std::vector<topo::NodeId>& hosts = topo.hosts();
+  add_task(net, 0.0, 2.0, {flow(hosts[0], hosts[1], 1.0)});
+  add_task(net, 0.0, 2.0, {flow(hosts[0], hosts[2], 1.0)});
+  TapsScheduler sched;
+  (void)test::run(net, sched);
+  EXPECT_EQ(sched.counters().tasks_accepted, 2u);
+  EXPECT_EQ(test::completed_tasks(net), 2u);
 }
 
 }  // namespace

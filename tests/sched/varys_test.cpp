@@ -87,9 +87,9 @@ TEST(Varys, PastDeadlineTaskRejectedOutright) {
   auto d = make_dumbbell();
   net::Network net(*d.topology);
   net::FlowSpec f = flow(d.left[0], d.right[0], 1.0);
-  f.arrival = 5.0;
-  f.deadline = 5.0;  // no time at all
-  net.add_task(5.0, 5.0, {&f, 1});
+  // No usable time at all: the window is below the scheduler's time
+  // tolerance (a zero-length window is rejected by Network::add_task).
+  net.add_task(5.0, 5.0 + 1e-12, {&f, 1});
   Varys sched;
   (void)test::run(net, sched);
   EXPECT_EQ(net.tasks()[0].state, net::TaskState::kRejected);

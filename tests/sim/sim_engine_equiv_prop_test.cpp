@@ -1,9 +1,10 @@
-// Engine-equivalence pins: SimEngine::kIndexed must replay
-// SimEngine::kReference bit-for-bit — same flow outcomes (state, remaining,
-// bytes_sent, completion_time in full precision), same SimStats outcome
-// fields (events, completions, misses, end_time), and the same timeline
-// event stream when a recorder is attached. Only the SimEffort work counters
-// may differ (that is the point of the indexed engine).
+// Engine-equivalence pins: sim::FluidSimulator (the indexed event loop)
+// must replay oracle::ReferenceSimulator (the rescan loop) bit-for-bit —
+// same flow outcomes (state, remaining, bytes_sent, completion_time in full
+// precision), same SimStats outcome fields (events, completions, misses,
+// end_time), and the same timeline event stream when a recorder is
+// attached. Only the SimEffort work counters may differ (that is the point
+// of the indexed loop).
 //
 // The property runs every scheduler — including TAPS under both the
 // event-driven and the rescan rate maintenance — over randomized multi-wave
@@ -21,6 +22,7 @@
 #include "common/prop.hpp"
 #include "core/taps_scheduler.hpp"
 #include "exp/experiment.hpp"
+#include "oracle/reference_simulator.hpp"
 #include "sim/timeline.hpp"
 #include "workload/task_generator.hpp"
 
@@ -65,6 +67,19 @@ struct RunOutput {
   Timeline timeline;
 };
 
+/// Run `net` to quiescence under the reference loop or the indexed one.
+SimStats run_engine_on(net::Network& net, Scheduler& scheduler, TransmitObserver* observer,
+                       bool reference) {
+  if (reference) {
+    oracle::ReferenceSimulator simulator(net, scheduler);
+    simulator.set_observer(observer);
+    return simulator.run();
+  }
+  FluidSimulator simulator(net, scheduler);
+  simulator.set_observer(observer);
+  return simulator.run();
+}
+
 /// Full-precision dump of everything both engines must agree on. SimEffort
 /// is deliberately absent — it is engine-dependent by design.
 std::string outcome_fingerprint(const net::Network& net, const SimStats& stats) {
@@ -80,7 +95,7 @@ std::string outcome_fingerprint(const net::Network& net, const SimStats& stats) 
 }
 
 RunOutput run_once(const workload::WorkloadConfig& wc, std::uint64_t workload_seed,
-                   const SchedConfig& sc, SimEngine engine) {
+                   const SchedConfig& sc, bool reference) {
   const auto topology = workload::make_topology(workload::Scenario::single_rooted(false));
   net::Network net(*topology);
   util::Rng rng(workload_seed);
@@ -91,9 +106,7 @@ RunOutput run_once(const workload::WorkloadConfig& wc, std::uint64_t workload_se
   if (auto* base = dynamic_cast<sched::BaseScheduler*>(scheduler.get())) {
     base->set_schedule_observer(&rec);
   }
-  FluidSimulator simulator(net, *scheduler, engine);
-  simulator.set_observer(&rec);
-  const SimStats stats = simulator.run();
+  const SimStats stats = run_engine_on(net, *scheduler, &rec, reference);
 
   RunOutput out;
   out.fingerprint = outcome_fingerprint(net, stats);
@@ -141,8 +154,8 @@ TAPS_PROP(SimEngineEquivProp, IndexedMatchesReferenceBitwise, 8) {
     wc.waves_per_task = c.waves_per_task;
     wc.size_distribution = c.size_distribution;
     for (const SchedConfig& sc : all_configs()) {
-      const RunOutput ref = run_once(wc, c.workload_seed, sc, SimEngine::kReference);
-      const RunOutput idx = run_once(wc, c.workload_seed, sc, SimEngine::kIndexed);
+      const RunOutput ref = run_once(wc, c.workload_seed, sc, /*reference=*/true);
+      const RunOutput idx = run_once(wc, c.workload_seed, sc, /*reference=*/false);
       const std::string label = std::string(exp::to_string(sc.kind)) +
                                 (sc.kind == exp::SchedulerKind::kTaps
                                      ? (sc.event_driven_rates ? "/event-driven" : "/rescan")
@@ -165,7 +178,7 @@ TAPS_PROP(SimEngineEquivProp, IndexedMatchesReferenceBitwise, 8) {
 /// planes — the same workload as the TimelineIdentity suite, now compared
 /// across engines.
 TEST(SimEngineEquiv, TimelineIdenticalOnContendedDumbbell) {
-  auto run_engine = [](SimEngine engine) {
+  auto run_engine = [](bool reference) {
     auto d = make_dumbbell(4);
     net::Network net(*d.topology);
     add_task(net, 0.0, 8.0,
@@ -181,13 +194,11 @@ TEST(SimEngineEquiv, TimelineIdenticalOnContendedDumbbell) {
     core::TapsScheduler sched(cfg);
     TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
     sched.set_schedule_observer(&rec);
-    FluidSimulator simulator(net, sched, engine);
-    simulator.set_observer(&rec);
-    const SimStats stats = simulator.run();
+    const SimStats stats = run_engine_on(net, sched, &rec, reference);
     return std::make_pair(outcome_fingerprint(net, stats), rec.timeline());
   };
-  const auto [ref_fp, ref_tl] = run_engine(SimEngine::kReference);
-  const auto [idx_fp, idx_tl] = run_engine(SimEngine::kIndexed);
+  const auto [ref_fp, ref_tl] = run_engine(/*reference=*/true);
+  const auto [idx_fp, idx_tl] = run_engine(/*reference=*/false);
   EXPECT_EQ(ref_fp, idx_fp);
   EXPECT_TRUE(ref_tl == idx_tl) << "timeline diverged";
   EXPECT_GT(ref_tl.events.size(), 6u);
@@ -201,18 +212,17 @@ TEST(SimEngineEquiv, IndexedEngineActuallySkipsWork) {
   workload::WorkloadConfig wc;
   wc.task_count = 20;
   wc.flows_per_task_mean = 10.0;
-  auto run_engine = [&wc](SimEngine engine) {
+  auto run_engine = [&wc](bool reference) {
     const auto topology =
         workload::make_topology(workload::Scenario::single_rooted(false));
     net::Network net(*topology);
     util::Rng rng(42);
     (void)workload::generate(net, wc, rng);
     const auto scheduler = exp::make_scheduler(exp::SchedulerKind::kTaps, 16);
-    FluidSimulator simulator(net, *scheduler, engine);
-    return simulator.run();
+    return run_engine_on(net, *scheduler, nullptr, reference);
   };
-  const SimStats ref = run_engine(SimEngine::kReference);
-  const SimStats idx = run_engine(SimEngine::kIndexed);
+  const SimStats ref = run_engine(/*reference=*/true);
+  const SimStats idx = run_engine(/*reference=*/false);
   EXPECT_EQ(ref.events, idx.events);
   EXPECT_EQ(ref.completions, idx.completions);
   EXPECT_EQ(ref.misses, idx.misses);

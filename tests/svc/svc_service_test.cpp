@@ -172,21 +172,8 @@ TEST(SvcService, ShardedServiceAdmitsCrossPodTasksOnGlobalDomain) {
     // its pod shard.
     EXPECT_EQ(service.shard(service.global_domain()).stats().accepted, 1u);
     EXPECT_EQ(service.stats().cross_pod_enqueued, 1u);
+    EXPECT_EQ(service.stats().by_reason[static_cast<std::size_t>(Reason::kCrossShard)], 0u);
     EXPECT_EQ(service.audit(), std::nullopt);
-  }
-  {
-    // Legacy classification: with cross-pod admission off, spanning tasks
-    // are still rejected kCrossShard.
-    ServiceConfig legacy = sharded;
-    legacy.cross_pod = false;
-    AdmissionService service(ft, legacy);
-    EXPECT_FALSE(service.has_global_domain());
-    EXPECT_EQ(service.shard_count(), 4u);
-    (void)service.submit(cross);
-    service.pump();
-    const auto responses = service.take_responses();
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_EQ(responses[0].reason, Reason::kCrossShard);
   }
   {
     // The single-shard (global) service admits the same cross-pod task.

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "topo/pods.hpp"
 #include "util/rng.hpp"
 
 namespace taps::topo {
@@ -106,6 +107,43 @@ TEST(FatTree, RandomPairsYieldValidPaths) {
     for (const auto& p : paths) {
       EXPECT_TRUE(is_valid_path(ft.graph(), p, hosts[a], hosts[b]));
     }
+  }
+}
+
+
+TEST(PodMap, FatTreeK4StructureAndBudgets) {
+  FatTree topo(FatTreeConfig{4, 1.0});
+  const PodMap* pods = topo.pods();
+  ASSERT_NE(pods, nullptr);
+  EXPECT_EQ(pods->pod_count(), 4);
+  for (int p = 0; p < pods->pod_count(); ++p) {
+    const PodInfo& info = pods->pod(p);
+    // k=4: 2 aggregation switches x 2 core links each, both directions.
+    EXPECT_EQ(info.uplinks.size(), 4u);
+    EXPECT_EQ(info.downlinks.size(), 4u);
+    EXPECT_EQ(info.hosts.size(), 4u);
+    // Pod bandwidth budget = sum of uplink capacities, derived at build time.
+    EXPECT_DOUBLE_EQ(info.uplink_capacity, 4.0);
+  }
+  const std::vector<NodeId>& hosts = topo.hosts();
+  for (const NodeId h : hosts) EXPECT_EQ(pods->pod_of(h), topo.pod_of_host(h));
+  EXPECT_TRUE(pods->same_pod(hosts[0], hosts[3]));
+  EXPECT_FALSE(pods->same_pod(hosts[0], hosts[4]));
+  // Core switches belong to no pod.
+  EXPECT_EQ(pods->pod_of(topo.core_switch(0)), kNoPod);
+}
+
+TEST(PodMap, SingleUplinkPodAtMinimumArity) {
+  // k=2 is the degenerate fat-tree: one host, one edge, one agg per pod,
+  // one core — every pod has exactly one uplink.
+  FatTree topo(FatTreeConfig{2, 1.0});
+  const PodMap* pods = topo.pods();
+  ASSERT_NE(pods, nullptr);
+  EXPECT_EQ(pods->pod_count(), 2);
+  for (int p = 0; p < pods->pod_count(); ++p) {
+    EXPECT_EQ(pods->pod(p).uplinks.size(), 1u);
+    EXPECT_EQ(pods->pod(p).downlinks.size(), 1u);
+    EXPECT_DOUBLE_EQ(pods->pod(p).uplink_capacity, 1.0);
   }
 }
 
