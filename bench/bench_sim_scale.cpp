@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "core/taps_scheduler.hpp"
 #include "net/network.hpp"
 #include "oracle/reference_simulator.hpp"
+#include "oracle/rescan_rates_taps.hpp"
 #include "sim/simulator.hpp"
 #include "topo/fattree.hpp"
 #include "util/rng.hpp"
@@ -99,11 +101,10 @@ RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_
 
   taps::core::TapsConfig cfg;
   // The reference configuration is the pre-indexed engine verbatim: the
-  // O(active) event loop AND the per-event rate rescan it was built around.
-  // Rate maintenance is bit-transparent either way (pinned by the
-  // equivalence property suite), so the fingerprint cross-check still holds
-  // across the toggle.
-  cfg.event_driven_rates = !reference;
+  // O(active) event loop AND the per-event rate rescan it was built around
+  // (oracle::RescanRatesTaps). Rate maintenance is bit-transparent either
+  // way (pinned by the equivalence property suite), so the fingerprint
+  // cross-check still holds across the two schedulers.
   // Wide coflow tasks mean few arrivals, and trimming is arrival-counted —
   // at the default interval (64) these presets would never trim and every
   // replan would re-merge the whole run's slice history. Trimming never
@@ -114,12 +115,14 @@ RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_
   // bench's — a smaller budget keeps the shared planner out of the
   // per-event numbers at these task widths. Identical for both engines.
   cfg.max_paths = 8;
-  taps::core::TapsScheduler scheduler(cfg);
+  const std::unique_ptr<taps::core::TapsScheduler> scheduler =
+      reference ? std::make_unique<taps::oracle::RescanRatesTaps>(cfg)
+                : std::make_unique<taps::core::TapsScheduler>(cfg);
 
   const auto t0 = std::chrono::steady_clock::now();
   const taps::sim::SimStats stats = reference
-                                        ? taps::oracle::ReferenceSimulator(net, scheduler).run()
-                                        : taps::sim::FluidSimulator(net, scheduler).run();
+                                        ? taps::oracle::ReferenceSimulator(net, *scheduler).run()
+                                        : taps::sim::FluidSimulator(net, *scheduler).run();
   const auto t1 = std::chrono::steady_clock::now();
 
   RunOutcome out;

@@ -488,7 +488,7 @@ bool TapsScheduler::refresh_rate(FlowId fid, double now) {
 }
 
 double TapsScheduler::assign_rates(double now) {
-  if (!config_.event_driven_rates || rate_fallback_) return assign_rates_reference(now);
+  if (rate_fallback_) return assign_rates_reference(now);
 
   // 1. Flows whose committed slices changed since the last call.
   for (const FlowId fid : rate_touched_) {

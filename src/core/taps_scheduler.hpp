@@ -47,17 +47,6 @@ struct TapsConfig {
   /// only reads occupancy at or after `now`, so trimming never changes a
   /// schedule.
   std::size_t trim_interval = 64;
-  /// Event-driven rate maintenance: assign_rates refreshes only the flows
-  /// whose slice-boundary heap entry expired plus the flows whose committed
-  /// slices changed since the last call, instead of rescanning every active
-  /// flow. A flow's rate is a pure step function of its committed slices, so
-  /// rates and the returned next-boundary are bit-identical to the rescan
-  /// (pinned by tests/sim/sim_engine_equiv_prop_test.cpp). If a flow ever
-  /// needs makeup transmission (impossible under the fluid engine, common in
-  /// hand-built unit tests), the scheduler permanently falls back to the
-  /// rescan path, which implements it. `false` keeps the rescan
-  /// (assign_rates_reference) as the oracle.
-  bool event_driven_rates = true;
 };
 
 // taps-threading: thread-compatible
@@ -115,6 +104,15 @@ class TapsScheduler : public sched::BaseScheduler {
   void bind(net::Network& net) override;
   void on_task_arrival(net::TaskId id, double now) override;
   void on_flow_finished(net::FlowId id, double now) override;
+  /// Event-driven rate maintenance: refreshes only the flows whose slice-
+  /// boundary heap entry expired plus the flows whose committed slices
+  /// changed since the last call, instead of rescanning every active flow.
+  /// A flow's rate is a pure step function of its committed slices, so rates
+  /// and the returned next boundary are bit-identical to the rescan (pinned
+  /// by tests/sim/sim_engine_equiv_prop_test.cpp against
+  /// oracle::RescanRatesTaps). If a flow ever needs makeup transmission
+  /// (impossible under the fluid engine, common in hand-built unit tests),
+  /// the scheduler permanently falls back to the rescan, which implements it.
   double assign_rates(double now) override;
 
   /// Pre-allocated slices of a flow (for tests / the SDN controller).
@@ -141,6 +139,12 @@ class TapsScheduler : public sched::BaseScheduler {
   /// order, so assign_rates() makeup tie-breaks may differ afterwards — the
   /// service never calls assign_rates.
   void migrate(net::Network& fresh, const std::vector<net::FlowId>& flow_map);
+
+ protected:
+  /// The full rescan: every active flow's rate from its slices at `now`,
+  /// plus makeup transmission (its only implementation). assign_rates
+  /// falls back to it; oracle::RescanRatesTaps runs it on every event.
+  double assign_rates_reference(double now);
 
  private:
   void admit(net::TaskId id, const std::vector<net::FlowId>& wave, double now);
@@ -186,7 +190,7 @@ class TapsScheduler : public sched::BaseScheduler {
   /// Deterministic trim cadence.
   void maybe_trim(double now);
 
-  // ---- event-driven rate maintenance (config_.event_driven_rates) ----
+  // ---- event-driven rate maintenance ----
   //
   // assign_rates keeps a min-heap of per-flow next-boundary times. A heap
   // entry stays valid while the flow's committed slices are untouched
@@ -202,9 +206,6 @@ class TapsScheduler : public sched::BaseScheduler {
   /// the flow needs makeup transmission — the caller then falls back to
   /// assign_rates_reference permanently.
   bool refresh_rate(net::FlowId fid, double now);
-  /// The original full rescan (and the only implementation of makeup
-  /// transmission), kept as the oracle.
-  double assign_rates_reference(double now);
 
   /// Unfinished flows of all currently admitted tasks, in last-committed
   /// EDF+SJF order (the usually-still-sorted prefix sort_order exploits).

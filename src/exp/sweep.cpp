@@ -4,6 +4,8 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
+#include <variant>
 
 #include "metrics/report.hpp"
 #include "sim/timeline.hpp"
@@ -148,45 +150,53 @@ void write_sweep_csv(const std::string& path, const std::string& x_label,
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open CSV output: " + path);
   util::CsvWriter csv(out);
-  // The sim_* effort columns (and wall_seconds) trail all outcome columns:
-  // they are engine-/host-dependent, so engine-equivalence comparisons can
-  // strip trailing columns and compare the outcome prefix byte-for-byte.
-  if (include_timing) {
-    csv.row(x_label, "scheduler", "task_completion_ratio", "flow_completion_ratio",
-            "app_throughput", "task_size_ratio", "wasted_bandwidth_ratio", "tasks_total",
-            "tasks_completed", "flows_total", "flows_completed", "replans", "flows_planned",
-            "prefix_reuse_flows", "prefix_reuse_ratio", "plan_commits", "preemptions",
-            "slice_grants", "sim_events", "sim_flows_touched", "sim_lazy_skips",
-            "sim_heap_invalidations", "sim_rate_dirty", "wall_seconds");
-  } else {
-    csv.row(x_label, "scheduler", "task_completion_ratio", "flow_completion_ratio",
-            "app_throughput", "task_size_ratio", "wasted_bandwidth_ratio", "tasks_total",
-            "tasks_completed", "flows_total", "flows_completed", "replans", "flows_planned",
-            "prefix_reuse_flows", "prefix_reuse_ratio", "plan_commits", "preemptions",
-            "slice_grants", "sim_events", "sim_flows_touched", "sim_lazy_skips",
-            "sim_heap_invalidations", "sim_rate_dirty");
-  }
+  // One column list for the header and every row. The sim_* effort columns
+  // (and wall_seconds) trail all outcome columns: they are engine-/host-
+  // dependent, so engine-equivalence comparisons can strip trailing columns
+  // and compare the outcome prefix byte-for-byte.
+  using M = metrics::RunMetrics;
+  using Column = std::pair<const char*, std::variant<double M::*, std::size_t M::*>>;
+  static const Column kColumns[] = {
+      {"task_completion_ratio", &M::task_completion_ratio},
+      {"flow_completion_ratio", &M::flow_completion_ratio},
+      {"app_throughput", &M::app_throughput},
+      {"task_size_ratio", &M::task_size_ratio},
+      {"wasted_bandwidth_ratio", &M::wasted_bandwidth_ratio},
+      {"tasks_total", &M::tasks_total},
+      {"tasks_completed", &M::tasks_completed},
+      {"flows_total", &M::flows_total},
+      {"flows_completed", &M::flows_completed},
+      {"replans", &M::replans},
+      {"flows_planned", &M::flows_planned},
+      {"prefix_reuse_flows", &M::prefix_reuse_flows},
+      {"prefix_reuse_ratio", &M::prefix_reuse_ratio},
+      {"plan_commits", &M::plan_commits},
+      {"preemptions", &M::preemptions},
+      {"slice_grants", &M::slice_grants},
+      {"sim_events", &M::sim_events},
+      {"sim_flows_touched", &M::sim_flows_touched},
+      {"sim_lazy_skips", &M::sim_lazy_skips},
+      {"sim_heap_invalidations", &M::sim_heap_invalidations},
+      {"sim_rate_dirty", &M::sim_rate_dirty},
+  };
+
+  std::vector<std::string> fields{x_label, "scheduler"};
+  for (const auto& [name, member] : kColumns) fields.emplace_back(name);
+  if (include_timing) fields.emplace_back("wall_seconds");
+  csv.write_row(fields);
   for (std::size_t pi = 0; pi < points.size(); ++pi) {
     for (std::size_t si = 0; si < schedulers.size(); ++si) {
       const SweepCell& cell = result.cell(pi, si, schedulers.size());
-      const metrics::RunMetrics& m = cell.result.metrics;
-      if (include_timing) {
-        csv.row(cell.x, to_string(cell.scheduler), m.task_completion_ratio,
-                m.flow_completion_ratio, m.app_throughput, m.task_size_ratio,
-                m.wasted_bandwidth_ratio, m.tasks_total, m.tasks_completed, m.flows_total,
-                m.flows_completed, m.replans, m.flows_planned, m.prefix_reuse_flows,
-                m.prefix_reuse_ratio, m.plan_commits, m.preemptions, m.slice_grants,
-                m.sim_events, m.sim_flows_touched, m.sim_lazy_skips,
-                m.sim_heap_invalidations, m.sim_rate_dirty, cell.result.wall_seconds);
-      } else {
-        csv.row(cell.x, to_string(cell.scheduler), m.task_completion_ratio,
-                m.flow_completion_ratio, m.app_throughput, m.task_size_ratio,
-                m.wasted_bandwidth_ratio, m.tasks_total, m.tasks_completed, m.flows_total,
-                m.flows_completed, m.replans, m.flows_planned, m.prefix_reuse_flows,
-                m.prefix_reuse_ratio, m.plan_commits, m.preemptions, m.slice_grants,
-                m.sim_events, m.sim_flows_touched, m.sim_lazy_skips,
-                m.sim_heap_invalidations, m.sim_rate_dirty);
+      const M& m = cell.result.metrics;
+      fields.clear();
+      fields.push_back(util::CsvWriter::field(cell.x));
+      fields.emplace_back(to_string(cell.scheduler));
+      for (const auto& [name, member] : kColumns) {
+        fields.push_back(
+            std::visit([&m](auto ptr) { return util::CsvWriter::field(m.*ptr); }, member));
       }
+      if (include_timing) fields.push_back(util::CsvWriter::field(cell.result.wall_seconds));
+      csv.write_row(fields);
     }
   }
 }

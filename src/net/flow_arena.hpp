@@ -105,9 +105,10 @@ class FlowStateArena {
   [[nodiscard]] const double& rate(std::size_t i) const { return chunk(i).rate[slot(i)]; }
 
   /// Compare-on-write rate update. A changed flow enters the dirty list at
-  /// most once between drains (per-slot flag), so schedulers that build rates
-  /// incrementally (progressive_fill's repeated `rate += share` rounds) cost
-  /// one list entry per flow, not one per round. Owning domain only.
+  /// most once between drains (per-slot flag), so a scheduler that writes a
+  /// flow's rate several times in one assign_rates call (D3's grant, then
+  /// its share of the spare capacity) costs one list entry per flow, and a
+  /// rewrite of the same value costs none. Owning domain only.
   void set_rate(std::size_t i, double r) {
     Chunk& c = chunk(i);
     const std::size_t s = slot(i);

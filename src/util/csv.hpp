@@ -22,19 +22,22 @@ class CsvWriter {
   void row(const Ts&... vals) {
     std::vector<std::string> fields;
     fields.reserve(sizeof...(vals));
-    (fields.push_back(to_field(vals)), ...);
+    (fields.push_back(field(vals)), ...);
     write_row(fields);
   }
 
- private:
+  /// Format one value the way row() does (strings verbatim, numbers via
+  /// format_number), for callers that assemble a row with write_row().
   template <typename T>
-  static std::string to_field(const T& v) {
+  static std::string field(const T& v) {
     if constexpr (std::is_convertible_v<T, std::string>) {
       return std::string(v);
     } else {
       return format_number(v);
     }
   }
+
+ private:
   static std::string format_number(double v);
   static std::string format_number(long long v);
   static std::string format_number(unsigned long long v);

@@ -7,7 +7,8 @@
 // of the indexed loop).
 //
 // The property runs every scheduler — including TAPS under both the
-// event-driven and the rescan rate maintenance — over randomized multi-wave
+// event-driven rate maintenance and the per-event rescan
+// (oracle::RescanRatesTaps) — over randomized multi-wave
 // workloads from the shrinking kit, so a divergence reports a seed and a
 // minimal scheduler/workload pair.
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/taps_scheduler.hpp"
 #include "exp/experiment.hpp"
 #include "oracle/reference_simulator.hpp"
+#include "oracle/rescan_rates_taps.hpp"
 #include "sim/timeline.hpp"
 #include "workload/task_generator.hpp"
 
@@ -33,8 +35,8 @@ using test::add_task;
 using test::flow;
 using test::make_dumbbell;
 
-/// One scheduler configuration under test: a kind, plus the TAPS rate-
-/// maintenance toggle (ignored for other kinds).
+/// One scheduler configuration under test: a kind, plus whether TAPS
+/// rescans every rate per event (ignored for other kinds).
 struct SchedConfig {
   exp::SchedulerKind kind = exp::SchedulerKind::kFairSharing;
   bool event_driven_rates = true;
@@ -44,7 +46,7 @@ std::unique_ptr<Scheduler> make(const SchedConfig& sc) {
   if (sc.kind == exp::SchedulerKind::kTaps) {
     core::TapsConfig cfg;
     cfg.max_paths = 16;
-    cfg.event_driven_rates = sc.event_driven_rates;
+    if (!sc.event_driven_rates) return std::make_unique<oracle::RescanRatesTaps>(cfg);
     return std::make_unique<core::TapsScheduler>(cfg);
   }
   return exp::make_scheduler(sc.kind, 16);
