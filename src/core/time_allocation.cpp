@@ -129,7 +129,9 @@ bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path, d
     const double idle_hi = std::min(u->lo, horizon);
     if (idle_hi > cursor) {
       const double take = std::min(need, idle_hi - cursor);
-      slices.push_back_disjoint(cursor, cursor + take);
+      // cursor + (idle_hi - cursor) can round one ulp past idle_hi, into
+      // the busy interval that starts there.
+      slices.push_back_disjoint(cursor, std::min(cursor + take, idle_hi));
       need -= take;
       if (need <= 0.0) {
         completion = slices.back_end();
@@ -145,7 +147,7 @@ bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path, d
   }
   if (need > 0.0 && cursor < horizon) {
     const double take = std::min(need, horizon - cursor);
-    slices.push_back_disjoint(cursor, cursor + take);
+    slices.push_back_disjoint(cursor, std::min(cursor + take, horizon));
     need -= take;
   }
   if (need > 1e-12) {  // insufficient idle time before horizon

@@ -9,6 +9,7 @@ using net::FlowId;
 
 void Baraat::bind(net::Network& net) {
   BaseScheduler::bind(net);
+  order_.clear();
   link_busy_.assign(net.graph().link_count(), 0);
 }
 
@@ -17,22 +18,20 @@ void Baraat::on_task_arrival(net::TaskId id, double now) { admit_all_ecmp(id, no
 double Baraat::assign_rates(double /*now*/) {
   auto& flows = active_flows();
 
-  // Priority: task FIFO (arrival, then task id), then SJF within the task.
-  std::vector<FlowId> order(flows.begin(), flows.end());
-  std::sort(order.begin(), order.end(), [this](FlowId a, FlowId b) {
-    const Flow& fa = net_->flow(a);
-    const Flow& fb = net_->flow(b);
-    const auto& ta = net_->task(fa.task());
-    const auto& tb = net_->task(fb.task());
-    if (ta.spec.arrival != tb.spec.arrival) return ta.spec.arrival < tb.spec.arrival;
-    if (fa.task() != fb.task()) return fa.task() < fb.task();
-    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
-    return a < b;
-  });
+  // Priority order carried from the last call (see sched/priority_order.hpp).
+  const auto order = order_.repair(
+      flows, [this](FlowId id) { return net_->flow(id).finished(); },
+      [this](FlowId id) {
+        const Flow& f = net_->flow(id);
+        return Key{.task_arrival = net_->task(f.task()).spec.arrival,
+                   .remaining = f.remaining,
+                   .task = f.task(),
+                   .id = id};
+      });
 
   std::fill(link_busy_.begin(), link_busy_.end(), 0);
-  for (const FlowId fid : order) {
-    Flow& f = net_->flow(fid);
+  for (const Key& k : order) {
+    Flow& f = net_->flow(k.id);
     bool free = true;
     for (const topo::LinkId lid : f.path.links) {
       if (link_busy_[static_cast<std::size_t>(lid)] != 0) {

@@ -6,6 +6,7 @@
 // bandwidth in deadline-sensitive settings (paper Fig. 8).
 #pragma once
 
+#include "sched/priority_order.hpp"
 #include "sched/scheduler.hpp"
 
 namespace taps::sched {
@@ -19,7 +20,25 @@ class Baraat final : public BaseScheduler {
   void on_task_arrival(net::TaskId id, double now) override;
   double assign_rates(double now) override;
 
+  /// A flow's rank: task FIFO (arrival, then task id), then SJF on
+  /// remaining size within the task, then flow id.
+  // taps-threading: thread-compatible
+  struct Key {
+    double task_arrival = 0.0;
+    double remaining = 0.0;
+    net::TaskId task = net::kInvalidTask;
+    net::FlowId id = net::kInvalidFlow;
+
+    friend bool operator<(const Key& a, const Key& b) {
+      if (a.task_arrival != b.task_arrival) return a.task_arrival < b.task_arrival;
+      if (a.task != b.task) return a.task < b.task;
+      if (a.remaining != b.remaining) return a.remaining < b.remaining;
+      return a.id < b.id;
+    }
+  };
+
  private:
+  CarriedOrder<Key> order_;
   std::vector<char> link_busy_;
 };
 

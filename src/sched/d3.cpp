@@ -16,14 +16,21 @@ double D3::assign_rates(double now) {
   }
 
   // FCFS: grant deadline-driven requests in arrival order (flow id breaks
-  // ties among equal arrival times, matching "earlier flows win").
-  std::vector<FlowId> order(flows.begin(), flows.end());
-  std::sort(order.begin(), order.end(), [this](FlowId a, FlowId b) {
+  // ties among equal arrival times, matching "earlier flows win"). The key
+  // never changes and flows are admitted in arrival order, so the active
+  // list is normally sorted already and is copied only when it is not.
+  const auto fcfs = [this](FlowId a, FlowId b) {
     const Flow& fa = net_->flow(a);
     const Flow& fb = net_->flow(b);
     if (fa.spec.arrival != fb.spec.arrival) return fa.spec.arrival < fb.spec.arrival;
     return a < b;
-  });
+  };
+  std::vector<FlowId> resorted;
+  if (!std::is_sorted(flows.begin(), flows.end(), fcfs)) {
+    resorted.assign(flows.begin(), flows.end());
+    std::sort(resorted.begin(), resorted.end(), fcfs);
+  }
+  const std::vector<FlowId>& order = resorted.empty() ? flows : resorted;
 
   for (const FlowId fid : order) {
     Flow& f = net_->flow(fid);

@@ -9,6 +9,7 @@ using net::FlowId;
 
 void Pdq::bind(net::Network& net) {
   BaseScheduler::bind(net);
+  order_.clear();
   link_busy_.assign(net.graph().link_count(), 0);
   node_list_count_.assign(net.graph().node_count(), 0);
 }
@@ -32,26 +33,21 @@ double Pdq::assign_rates(double now) {
     }
   }
 
-  // Priority: EDF, then SJF on remaining size, then flow id (stable).
-  std::vector<FlowId> order;
-  order.reserve(flows.size());
-  for (const FlowId fid : flows) {
-    if (!net_->flow(fid).finished()) order.push_back(fid);
-  }
-  std::sort(order.begin(), order.end(), [this](FlowId a, FlowId b) {
-    const Flow& fa = net_->flow(a);
-    const Flow& fb = net_->flow(b);
-    if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
-    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
-    return a < b;
-  });
+  // Priority order carried from the last call; the flows early termination
+  // just marked missed drop out with the finished ones.
+  const auto order = order_.repair(
+      flows, [this](FlowId id) { return net_->flow(id).finished(); },
+      [this](FlowId id) {
+        const Flow& f = net_->flow(id);
+        return Key{.deadline = f.spec.deadline, .remaining = f.remaining, .id = id};
+      });
 
   std::fill(link_busy_.begin(), link_busy_.end(), 0);
   if (config_.flow_list_limit > 0) {
     std::fill(node_list_count_.begin(), node_list_count_.end(), 0);
   }
-  for (const FlowId fid : order) {
-    Flow& f = net_->flow(fid);
+  for (const Key& k : order) {
+    Flow& f = net_->flow(k.id);
     bool free = true;
     // Switch flow-list admission: every switch on the path tracks flows in
     // priority order; a flow ranked past the list limit at any switch is

@@ -9,6 +9,7 @@
 // choice).
 #pragma once
 
+#include "sched/priority_order.hpp"
 #include "sched/scheduler.hpp"
 
 namespace taps::sched {
@@ -33,8 +34,23 @@ class Pdq final : public BaseScheduler {
   void on_task_arrival(net::TaskId id, double now) override;
   double assign_rates(double now) override;
 
+  /// A flow's rank: EDF, then SJF on remaining size, then flow id.
+  // taps-threading: thread-compatible
+  struct Key {
+    double deadline = 0.0;
+    double remaining = 0.0;
+    net::FlowId id = net::kInvalidFlow;
+
+    friend bool operator<(const Key& a, const Key& b) {
+      if (a.deadline != b.deadline) return a.deadline < b.deadline;
+      if (a.remaining != b.remaining) return a.remaining < b.remaining;
+      return a.id < b.id;
+    }
+  };
+
  private:
   PdqConfig config_;
+  CarriedOrder<Key> order_;
   std::vector<char> link_busy_;
   std::vector<std::size_t> node_list_count_;
 };

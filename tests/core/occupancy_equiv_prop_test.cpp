@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iomanip>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -38,6 +40,7 @@ struct Op {
     kQueryAllocate,  // fused allocate_time vs allocate_time_reference
     kQueryCollides,  // collides on a random probe set
     kQueryRace,      // Algorithm 2's candidate race through one reused scratch
+    kOccupyUlp,      // a busy window starting one ulp past a busy boundary
   };
   Kind kind = kOccupy;
   int link = 0;
@@ -46,8 +49,9 @@ struct Op {
   std::vector<topo::Path> race;  // kQueryRace's candidates, in race order
 
   friend std::ostream& operator<<(std::ostream& os, const Op& op) {
-    static const char* names[] = {"occupy",      "trim",        "clear",    "query_index",
-                                  "query_union", "query_alloc", "collides", "race"};
+    static const char* names[] = {"occupy",      "trim",        "clear", "query_index",
+                                  "query_union", "query_alloc", "collides", "race",
+                                  "occupy_ulp"};
     os << names[op.kind] << "(link=" << op.link << ", a=" << op.a << ", b=" << op.b;
     for (const topo::Path& p : op.race) {
       os << (&p == op.race.data() ? ", paths=[" : " ");
@@ -89,9 +93,11 @@ std::vector<Op> generate_ops(util::Rng& rng) {
     Op op;
     // Mutations and queries interleave ~1:2 so hints get exercised both
     // warm (repeated queries) and freshly invalidated (query after occupy).
-    const auto roll = rng.uniform_int(0, 10);
+    const auto roll = rng.uniform_int(0, 11);
     if (roll < 2) {
       op.kind = Op::kOccupy;
+    } else if (roll == 11) {
+      op.kind = Op::kOccupyUlp;
     } else if (roll == 2) {
       op.kind = Op::kTrim;
     } else if (roll == 3) {
@@ -126,6 +132,32 @@ double horizon_spread(const Op& op) {
   return 1.0 + 8.0 * (op.a - static_cast<double>(static_cast<int>(op.a)));
 }
 
+/// The fused allocate_time equals the reference allocator bit for bit, and
+/// every slice it returns is idle on the whole path, to the last ulp, and
+/// ends by the horizon.
+std::optional<std::string> check_allocate(const OccupancyMap& occ, const topo::Path& p,
+                                          double from, double duration, double horizon) {
+  const TimeAllocation fast = allocate_time(occ, p, from, duration, horizon);
+  const TimeAllocation ref = oracle::allocate_time_reference(occ, p, from, duration, horizon);
+  std::ostringstream os;
+  os << std::setprecision(17) << "allocate_time(from=" << from << ", dur=" << duration
+     << ", horizon=" << horizon << "): ";
+  if (fast.feasible() != ref.feasible() || !(fast.slices == ref.slices) ||
+      fast.completion != ref.completion) {
+    os << "fused {" << fast.slices << ", completion=" << fast.completion << "} != reference {"
+       << ref.slices << ", completion=" << ref.completion << "}";
+    return os.str();
+  }
+  if (!fast.feasible()) return std::nullopt;
+  if (!fast.slices.check_invariants()) return os.str() + "broke canonical form";
+  if (occ.collides(p, fast.slices)) {
+    os << "returned busy time " << fast.slices;
+    return os.str();
+  }
+  if (fast.completion > horizon) return os.str() + "completed past the horizon";
+  return std::nullopt;
+}
+
 std::optional<std::string> check(const std::vector<Op>& ops) {
   OccupancyMap occ(kLinks);
   // One scratch for the whole sequence, as a planning domain keeps it: each
@@ -142,6 +174,25 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
         util::IntervalSet slices;
         slices.insert(op.a, op.b);
         if (!occ.collides(one, slices)) occ.occupy(one, slices);
+        break;
+      }
+      case Op::kOccupyUlp: {
+        // A gap [c, b) from a cursor c far below b, with b stepped up by ulps
+        // until c + (b - c) rounds one ulp past it; a slice filling the gap
+        // must still end at b.
+        const double c = op.a / 64.0;
+        double b = op.b;
+        for (int i = 0; i < 4096 && !(c + (b - c) > b); ++i) {
+          b = std::nextafter(b, std::numeric_limits<double>::infinity());
+        }
+        topo::Path one;
+        one.links.push_back(static_cast<topo::LinkId>(op.link));
+        util::IntervalSet slices;
+        slices.insert(b, b + 1.0);
+        if (!occ.collides(one, slices)) occ.occupy(one, slices);
+        if (auto failure = check_allocate(occ, one, c, (b - c) + (op.b - op.a), 1e12)) {
+          return failure;
+        }
         break;
       }
       case Op::kTrim:
@@ -192,20 +243,8 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
         const topo::Path p = path_for(op);
         const double duration = op.b - op.a;
         const double horizon = op.a + duration * horizon_spread(op);
-        const TimeAllocation fast = allocate_time(occ, p, op.a, duration, horizon);
+        if (auto failure = check_allocate(occ, p, op.a, duration, horizon)) return failure;
         const TimeAllocation ref = oracle::allocate_time_reference(occ, p, op.a, duration, horizon);
-        if (fast.feasible() != ref.feasible() || !(fast.slices == ref.slices) ||
-            fast.completion != ref.completion) {
-          std::ostringstream os;
-          os << "allocate_time(from=" << op.a << ", dur=" << duration
-             << ", horizon=" << horizon << "): fused {" << fast.slices
-             << ", completion=" << fast.completion << "} != reference {" << ref.slices
-             << ", completion=" << ref.completion << "}";
-          return os.str();
-        }
-        if (fast.feasible() && !fast.slices.check_invariants()) {
-          return "fused allocate_time broke canonical form";
-        }
         if (ref.feasible()) {
           // Branch-and-bound contract: a bound above the true completion
           // must not change the result; a bound at (or below) it must abort.
@@ -293,6 +332,7 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
                << ", completion=" << ref.completion << "}";
             return os.str();
           }
+          if (won && occ.collides(p, trial)) return "race candidate won busy time";
           if (won) best = completion;
         }
         break;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/fixtures.hpp"
 #include "core/optimal.hpp"
 #include "topo/fattree.hpp"
@@ -140,6 +142,52 @@ TEST(TapsScheduler, SlicesNeverOverlapOnALink) {
           << "flows " << i << " and " << j << " overlap on the bottleneck";
     }
   }
+}
+
+TEST(TapsScheduler, SlicesNeverOverlapOnAK4FatTreeWithAllArrivalsAtZero) {
+  // A pod-local stream of 100 single-flow tasks, all arriving at t=0, on a
+  // k=4 fat-tree with power-of-two capacity (one producer's stream of the
+  // svc storm tests): flow 28's gap slice ends where cursor +
+  // (idle_hi - cursor) rounds one ulp past the start of flow 8's slice.
+  // No two admitted flows sharing a link may overlap, not even by one ulp.
+  constexpr double kCapacity = 1073741824.0;
+  const topo::FatTree ft(topo::FatTreeConfig{4, kCapacity});
+  net::Network net(ft);
+  util::Rng rng(1006);
+  const int half = ft.k() / 2;
+  for (int i = 0; i < 100; ++i) {
+    const int pod = static_cast<int>(rng.uniform_int(0, ft.k() - 1));
+    const topo::NodeId src = ft.host(pod, static_cast<int>(rng.uniform_int(0, half - 1)),
+                                     static_cast<int>(rng.uniform_int(0, half - 1)));
+    topo::NodeId dst = src;
+    while (dst == src) {
+      dst = ft.host(pod, static_cast<int>(rng.uniform_int(0, half - 1)),
+                    static_cast<int>(rng.uniform_int(0, half - 1)));
+    }
+    const double transfer = rng.uniform_real(0.001, 0.01);
+    add_task(net, 0.0, rng.uniform_real(0.5, 2.0), {flow(src, dst, transfer * kCapacity)});
+  }
+  TapsScheduler sched;
+  sched.bind(net);
+  for (const auto& t : net.tasks()) sched.on_task_arrival(t.id(), 0.0);
+
+  std::size_t shared = 0;
+  for (const auto& fi : net.flows()) {
+    if (fi.state != net::FlowState::kActive) continue;
+    for (const auto& fj : net.flows()) {
+      if (fj.id() <= fi.id() || fj.state != net::FlowState::kActive) continue;
+      const bool share_link = std::any_of(
+          fi.path.links.begin(), fi.path.links.end(), [&](topo::LinkId l) {
+            return std::find(fj.path.links.begin(), fj.path.links.end(), l) !=
+                   fj.path.links.end();
+          });
+      if (!share_link) continue;
+      ++shared;
+      EXPECT_TRUE(sched.slices(fi.id()).intersect(sched.slices(fj.id())).empty())
+          << "flows " << fi.id() << " and " << fj.id() << " overlap on a shared link";
+    }
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 TEST(TapsScheduler, UrgentLateTaskFitsViaReplanning) {

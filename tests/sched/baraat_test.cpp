@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/fixtures.hpp"
+#include "sched/fresh_order_check.hpp"
 
 namespace taps::sched {
 namespace {
@@ -87,6 +91,73 @@ TEST(Baraat, SecondTaskUsesDisjointLinks) {
   Baraat sched;
   (void)test::run(net, sched);
   EXPECT_NEAR(net.flows()[1].completion_time, 2.0, 1e-9);
+}
+
+// The carried task-FIFO+SJF order must rank exactly like a fresh sort on
+// every call, with tasks growing later waves (Network::extend_task) whose
+// flow ids the scheduler has not seen yet.
+Baraat::Key fresh_baraat_key(const net::Network& net, net::FlowId id) {
+  const net::Flow& f = net.flow(id);
+  return Baraat::Key{.task_arrival = net.task(f.task()).spec.arrival,
+                     .remaining = f.remaining,
+                     .task = f.task(),
+                     .id = id};
+}
+
+TEST(Baraat, CarriedOrderRanksLikeAFreshSort) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const topo::FatTree ft(topo::FatTreeConfig{4, 1.0});
+    net::Network net(ft);
+    test::add_random_tasks(net, ft, seed, 40);
+    // Every fourth task sends a second wave a little after it arrived.
+    const std::size_t first_waves = net.tasks().size();
+    for (std::size_t t = 0; t < first_waves; t += 4) {
+      const net::Task& task = net.tasks()[t];
+      const net::Flow& head = net.flow(task.spec.flows.front());
+      const std::vector<net::FlowSpec> wave{flow(head.spec.dst, head.spec.src, 0.02),
+                                            flow(head.spec.src, head.spec.dst, 0.01)};
+      net.extend_task(task.id(), task.spec.arrival + 0.01, wave);
+    }
+    Baraat baraat;
+    test::FreshOrderCheck checked(baraat, fresh_baraat_key);
+    (void)test::run(net, checked);
+    EXPECT_GT(checked.checks(), 50u);
+    EXPECT_GT(checked.paused(), 0u);
+  }
+}
+
+TEST(Baraat, TaskExtendedMidRunJoinsTheCarriedOrder) {
+  // Task 0 runs alone; task 1 waits behind it. At t=1, after the order was
+  // carried through two calls, task 0 grows a wave of new flow ids: they
+  // rank inside task 0 (its arrival, SJF), ahead of all of task 1.
+  auto d = make_dumbbell();
+  net::Network net(*d.topology);
+  add_task(net, 0.0, 100.0, {flow(d.left[0], d.right[0], 4.0)});
+  add_task(net, 0.5, 100.0,
+           {flow(d.left[1], d.right[1], 1.0), flow(d.left[2], d.right[2], 2.0)});
+  Baraat baraat;
+  test::FreshOrderCheck checked(baraat, fresh_baraat_key);
+  checked.bind(net);
+  checked.on_task_arrival(0, 0.0);
+  (void)checked.assign_rates(0.0);
+  net.flow(0).remaining -= 0.5;  // flow 0 transmits at rate 1 for 0.5
+  checked.on_task_arrival(1, 0.5);
+  (void)checked.assign_rates(0.5);
+  EXPECT_EQ(net.flows()[0].rate, 1.0);
+  EXPECT_EQ(net.flows()[1].rate, 0.0);
+
+  net.flow(0).remaining -= 0.5;
+  net.extend_task(0, 1.0,
+                  std::vector<net::FlowSpec>{flow(d.left[3], d.right[3], 3.5),
+                                             flow(d.left[4], d.right[4], 0.5)});
+  checked.on_task_arrival(0, 1.0);
+  (void)checked.assign_rates(1.0);
+  // Task 0's smallest flow (the new 0.5-unit one, id 4) now holds the
+  // bottleneck; task 1 still waits.
+  EXPECT_EQ(net.flows()[4].rate, 1.0);
+  EXPECT_EQ(net.flows()[0].rate, 0.0);
+  EXPECT_EQ(net.flows()[1].rate, 0.0);
+  EXPECT_EQ(checked.checks(), 3u);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/fixtures.hpp"
+#include "sched/fresh_order_check.hpp"
 
 namespace taps::sched {
 namespace {
@@ -123,6 +127,64 @@ TEST(Pdq, Fig3UnlimitedListCompletesAll) {
   Pdq sched;
   (void)test::run(net, sched);
   EXPECT_EQ(test::completed_flows(net), 4u);
+}
+
+// The carried EDF+SJF order must rank exactly like a fresh sort on every
+// call: random fat-tree tasks, early termination on, with and without a
+// switch flow-list limit.
+Pdq::Key fresh_pdq_key(const net::Network& net, net::FlowId id) {
+  const net::Flow& f = net.flow(id);
+  return Pdq::Key{.deadline = f.spec.deadline, .remaining = f.remaining, .id = id};
+}
+
+void expect_fresh_order_rates(const PdqConfig& config, std::uint64_t seed) {
+  const topo::FatTree ft(topo::FatTreeConfig{4, 1.0});
+  net::Network net(ft);
+  test::add_random_tasks(net, ft, seed, 60);
+  Pdq pdq(config);
+  test::FreshOrderCheck checked(pdq, fresh_pdq_key, config.flow_list_limit);
+  (void)test::run(net, checked);
+  EXPECT_GT(checked.checks(), 50u);
+  EXPECT_GT(checked.paused(), 0u);
+  // Early termination fired: some flows were cut before their deadline.
+  EXPECT_GT(std::count_if(net.flows().begin(), net.flows().end(),
+                          [](const net::Flow& f) { return f.state == net::FlowState::kMissed; }),
+            0);
+}
+
+TEST(Pdq, CarriedOrderRanksLikeAFreshSort) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) expect_fresh_order_rates(PdqConfig{}, seed);
+}
+
+TEST(Pdq, CarriedOrderRanksLikeAFreshSortWithAFlowListLimit) {
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    expect_fresh_order_rates(PdqConfig{.early_termination = true, .flow_list_limit = 2}, seed);
+  }
+}
+
+TEST(Pdq, EarlyTerminationMissesLeaveTheCarriedOrder) {
+  // Flow 1 (deadline 3.5, 3 units) cannot finish even alone once flow 0
+  // (deadline 1) has held the link for a unit: early termination marks it
+  // missed inside assign_rates, and the next flow in line takes the link.
+  auto d = make_dumbbell();
+  net::Network net(*d.topology);
+  add_task(net, 0.0, 1.0, {flow(d.left[0], d.right[0], 1.0)});
+  add_task(net, 0.0, 3.5, {flow(d.left[1], d.right[1], 3.0)});
+  add_task(net, 0.0, 9.0, {flow(d.left[2], d.right[2], 2.0)});
+  Pdq pdq;
+  test::FreshOrderCheck checked(pdq, fresh_pdq_key);
+  checked.bind(net);
+  for (net::TaskId t = 0; t < 3; ++t) checked.on_task_arrival(t, 0.0);
+  (void)checked.assign_rates(0.0);
+  EXPECT_EQ(net.flows()[0].rate, 1.0);
+
+  // One unit later flow 0 is done and flow 1 has 3 units left for 2.5.
+  net.on_flow_completed(0, 1.0);
+  checked.on_flow_finished(0, 1.0);
+  (void)checked.assign_rates(1.0);
+  EXPECT_EQ(net.flows()[1].state, net::FlowState::kMissed);
+  EXPECT_EQ(net.flows()[2].rate, 1.0);
+  EXPECT_EQ(checked.checks(), 2u);
 }
 
 }  // namespace
